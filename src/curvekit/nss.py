@@ -16,6 +16,7 @@ multi-start simplex search; the decay scales live in log space inside a
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,11 @@ from .market import MarketSnapshot
 from .pricing import YieldCurve, cashflow_matrix, duration_price_weights, yield_to_maturity
 
 LAMBDA_BOX = (0.05, 30.0)
+_LOG_LO, _LOG_HI = float(np.log(LAMBDA_BOX[0])), float(np.log(LAMBDA_BOX[1]))
+# Objective value outside the feasible region; flat, so the simplex retreats.
+_WALL = 1e12
+# Below this x, (1 - exp(-x))/x is summed as a series to avoid cancellation.
+_SERIES_BELOW = 1e-4
 
 # Coarse (l1, l2) starting pairs; chosen to straddle short- and long-hump
 # shapes. Extra starts beyond these are drawn from the seeded RNG.
@@ -78,7 +84,7 @@ def _decay_ratio(x: np.ndarray) -> np.ndarray:
     """(1 - exp(-x))/x, series-expanded below 1e-4 to avoid cancellation."""
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    small = x < 1e-4
+    small = x < _SERIES_BELOW
     xs = x[small]
     out[small] = 1.0 - xs / 2.0 + xs**2 / 6.0 - xs**3 / 24.0
     xl = x[~small]
@@ -86,17 +92,26 @@ def _decay_ratio(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _yield_array(params: NssParams, t: np.ndarray) -> np.ndarray:
-    x1 = t / params.lambda1
-    x2 = t / params.lambda2
-    h1 = _decay_ratio(x1)
-    h2 = _decay_ratio(x2)
-    return (
-        params.beta0
-        + params.beta1 * h1
-        + params.beta2 * (h1 - np.exp(-x1))
-        + params.beta3 * (h2 - np.exp(-x2))
-    )
+def _decay_terms(neg_t: np.ndarray, lam: float, t_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """``h(x)`` and ``h(x) - exp(-x)`` at ``x = t/lam``, from negated times ``neg_t``.
+
+    Works on ``n = -t/lam`` so that ``exp(n)`` and ``expm1(n)/n`` need no
+    further negation. Sign flips are exact, so the values equal the positive-x
+    forms bit for bit. ``t_min`` is the smallest time (NaN if any is NaN):
+    dividing by a positive ``lam`` keeps the order, so ``t_min/lam`` is the
+    smallest x and decides whether any entry needs ``_decay_ratio``'s series
+    branch.
+    """
+    n = neg_t / lam
+    h = np.expm1(n) / n if t_min / lam >= _SERIES_BELOW else _decay_ratio(-n)
+    return h, h - np.exp(n)
+
+
+def _nss_yields(b0, b1, b2, b3, l1, l2, neg_t: np.ndarray, t_min: float) -> np.ndarray:
+    """Spot yields at the times ``-neg_t``; see ``_decay_terms`` for ``t_min``."""
+    h1, s1 = _decay_terms(neg_t, l1, t_min)
+    _, s2 = _decay_terms(neg_t, l2, t_min)
+    return b0 + b1 * h1 + b2 * s1 + b3 * s2
 
 
 def nss_yield(params: NssParams, t, limit_at_zero: bool = False):
@@ -114,7 +129,11 @@ def nss_yield(params: NssParams, t, limit_at_zero: bool = False):
     if np.any(zero):
         out[zero] = params.beta0 + params.beta1
     if np.any(~zero):
-        out[~zero] = _yield_array(params, arr[~zero])
+        t_pos = arr[~zero]
+        out[~zero] = _nss_yields(
+            params.beta0, params.beta1, params.beta2, params.beta3,
+            params.lambda1, params.lambda2, -t_pos, t_pos.min(),
+        )
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -145,10 +164,10 @@ class NssCurve(YieldCurve):
 
 
 def _basis(t: np.ndarray, l1: float, l2: float) -> np.ndarray:
-    x1, x2 = t / l1, t / l2
-    h1 = _decay_ratio(x1)
-    h2 = _decay_ratio(x2)
-    return np.column_stack([np.ones_like(t), h1, h1 - np.exp(-x1), h2 - np.exp(-x2)])
+    neg_t, t_min = -t, t.min()
+    h1, s1 = _decay_terms(neg_t, l1, t_min)
+    _, s2 = _decay_terms(neg_t, l2, t_min)
+    return np.column_stack([np.ones_like(t), h1, s1, s2])
 
 
 def _warm_start_betas(maturities: np.ndarray, ytms: np.ndarray, l1: float, l2: float) -> np.ndarray:
@@ -156,14 +175,52 @@ def _warm_start_betas(maturities: np.ndarray, ytms: np.ndarray, l1: float, l2: f
     return betas
 
 
-def nss_objective(snapshot: MarketSnapshot, params: NssParams) -> float:
-    """Duration-weighted squared price error of ``params`` on ``snapshot``."""
-    bonds = list(snapshot.bonds)
+def _price_error(bonds) -> Callable[..., float]:
+    """Build ``error(b0, b1, b2, b3, l1, l2)``: the duration-weighted squared
+    price error of a Svensson curve on ``bonds``.
+
+    The snapshot's arrays (negated anchor times, cashflow matrix, prices,
+    weights) are laid out once here, so each call runs only the ufuncs of the
+    formula itself. Operation order is part of the behaviour: every
+    floating-point step matches the direct formula
+    ``sum(w * (p - C @ exp(-t * y(t)))**2)``, so each value is bit-identical
+    to it. That matters because Nelder-Mead runs that stop at the iteration
+    cap amplify a last-bit difference into a different fitted curve. The
+    anchor times come sorted, so ``t[0]`` is the smallest and alone decides
+    whether the series branch of ``_decay_ratio`` is needed.
+    """
     weights = duration_price_weights(bonds)
     anchor_times, C = cashflow_matrix(bonds)
     prices = np.array([b.market_price for b in bonds])
-    model_prices = C @ np.exp(-anchor_times * _yield_array(params, anchor_times))
-    return float(np.sum(weights * (prices - model_prices) ** 2))
+    neg_t = -anchor_times
+    t_min = float(anchor_times[0])
+
+    def error(b0, b1, b2, b3, l1, l2) -> float:
+        yields = _nss_yields(b0, b1, b2, b3, l1, l2, neg_t, t_min)
+        r = prices - C @ np.exp(neg_t * yields)
+        return float((weights * (r * r)).sum())
+
+    return error
+
+
+def _simplex_objective(bonds) -> Callable[[np.ndarray], float]:
+    """Price error over ``x = (b0, b1, b2, b3, log l1, log l2)``, with a flat
+    ``_WALL`` value outside the decay box and at b0 <= -0.10."""
+    error = _price_error(bonds)
+
+    def objective(x: np.ndarray) -> float:
+        b0, b1, b2, b3, ll1, ll2 = x.tolist()
+        if not (_LOG_LO <= ll1 <= _LOG_HI and _LOG_LO <= ll2 <= _LOG_HI) or b0 <= -0.10:
+            return _WALL
+        return error(b0, b1, b2, b3, np.exp(ll1), np.exp(ll2))
+
+    return objective
+
+
+def nss_objective(snapshot: MarketSnapshot, params: NssParams) -> float:
+    """Duration-weighted squared price error of ``params`` on ``snapshot``."""
+    error = _price_error(list(snapshot.bonds))
+    return error(params.beta0, params.beta1, params.beta2, params.beta3, params.lambda1, params.lambda2)
 
 
 def fit_nss(snapshot: MarketSnapshot, config: NssFitConfig | None = None) -> NssParams:
@@ -173,36 +230,23 @@ def fit_nss(snapshot: MarketSnapshot, config: NssFitConfig | None = None) -> Nss
     loadings with a least-squares fit of the yield basis to the bonds' flat
     yields at the given decay pair, then runs Nelder-Mead over
     (betas, log l1, log l2) with a polish restart. Deterministic for a fixed
-    config; the best objective wins, ties going to the earlier start.
+    config; the best objective wins, ties going to the earlier start. Raises
+    ``FitFailureError`` when every start hits the iteration cap or ends on
+    the penalty wall.
     """
     config = config or NssFitConfig()
     bonds = list(snapshot.bonds)
     if len(bonds) < 6:
         raise ValidationError(f">= 6 bonds required to fit 6 parameters, got {len(bonds)}")
 
-    weights = duration_price_weights(bonds)
-    anchor_times, C = cashflow_matrix(bonds)
-    prices = np.array([b.market_price for b in bonds])
+    objective = _simplex_objective(bonds)
     maturities = np.array([b.maturity for b in bonds])
     ytms = np.array([yield_to_maturity(b) for b in bonds])
-    log_lo, log_hi = np.log(LAMBDA_BOX[0]), np.log(LAMBDA_BOX[1])
-
-    def objective(x: np.ndarray) -> float:
-        b0, b1, b2, b3, ll1, ll2 = x
-        if not (log_lo <= ll1 <= log_hi and log_lo <= ll2 <= log_hi) or b0 <= -0.10:
-            return 1e12
-        l1, l2 = np.exp(ll1), np.exp(ll2)
-        x1, x2 = anchor_times / l1, anchor_times / l2
-        h1 = _decay_ratio(x1)
-        h2 = _decay_ratio(x2)
-        yields = b0 + b1 * h1 + b2 * (h1 - np.exp(-x1)) + b3 * (h2 - np.exp(-x2))
-        model_prices = C @ np.exp(-anchor_times * yields)
-        return float(np.sum(weights * (prices - model_prices) ** 2))
 
     rng = np.random.default_rng(config.seed)
     lambda_pairs = list(_BASE_STARTS[: config.starts])
     while len(lambda_pairs) < config.starts:
-        lambda_pairs.append(tuple(np.exp(rng.uniform(log_lo, log_hi, size=2))))
+        lambda_pairs.append(tuple(np.exp(rng.uniform(_LOG_LO, _LOG_HI, size=2))))
 
     best_x = None
     best_fun = np.inf
@@ -225,6 +269,11 @@ def fit_nss(snapshot: MarketSnapshot, config: NssFitConfig | None = None) -> Nss
     if best_x is None or not any_converged:
         raise FitFailureError(
             f"all {config.starts} starts hit the iteration cap ({config.max_iter}) without converging"
+        )
+    if best_fun >= _WALL:
+        raise FitFailureError(
+            f"all {config.starts} starts ended on the penalty wall "
+            f"(beta0 <= -0.10 or a decay scale outside {LAMBDA_BOX})"
         )
     b0, b1, b2, b3, ll1, ll2 = best_x
     return NssParams(
