@@ -8,7 +8,9 @@
     curvekit experiment loo day.json --mc 10
     curvekit experiment hyperscan day.json --lr 1e-7,1e-8 --epochs 200,1000
 
-Exit codes: 0 success, 2 argument error, 3 I/O error, 4 computational failure.
+Exit codes: 0 success; 2 argument error, caught before any fit runs (before any
+file is read if the flags alone are wrong); 3 unreadable input or unwritable
+output; 4 failed fit, base fit or replicate (reports are written for the last).
 Every command is deterministic given its flags; timestamps appear only in the
 report provenance field.
 """
@@ -16,15 +18,17 @@ report provenance field.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CurveKitError, ParseError, ValidationError
+from .errors import CurveKitError, FitFailureError, ParseError, ValidationError
 from .evaluation import (
     Estimator,
     EvaluationReport,
@@ -52,14 +56,13 @@ EXIT_COMPUTE = 4
 
 @dataclass(frozen=True)
 class FitConfig:
-    """One selected estimator plus its sub-configuration and grid."""
+    """One selected estimator plus its sub-configuration."""
 
     estimator: str
     nss: NssFitConfig = field(default_factory=NssFitConfig)
     kr_lambda: float = 1e-2
     kr_kernel: KernelParams = field(default_factory=KernelParams)
     nn: TrainConfig = field(default_factory=TrainConfig)
-    grid: TenorGrid = field(default_factory=TenorGrid)
 
     def __post_init__(self):
         if self.estimator not in ESTIMATOR_NAMES:
@@ -117,18 +120,18 @@ def _model_dict(config: FitConfig, curve, snapshot) -> dict:
 # Flag parsing helpers
 # ---------------------------------------------------------------------------
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of numbers, got {text!r}")
+def _list_of(cast, what: str):
+    """An argparse type for a comma-separated list of ``cast`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [cast(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list of {what}, got {text!r}")
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
+_float_list = _list_of(float, "numbers")
+_int_list = _list_of(int, "integers")
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -167,21 +170,24 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nn-epochs", type=int, default=1000, help="NN training epochs (default 1000)")
     parser.add_argument("--nn-gamma1", type=float, default=1e3, help="NN smoothness weight (default 1e3)")
     parser.add_argument("--nn-gamma2", type=float, default=1e4, help="NN trend weight (default 1e4)")
+    _add_nn_shape_flags(parser)
+
+
+def _add_nn_shape_flags(parser: argparse.ArgumentParser) -> None:
+    """The NN flags that hyperscan reads besides its own grid flags."""
     parser.add_argument("--nn-hidden", type=int, default=3, help="NN hidden units (default 3)")
     parser.add_argument("--nn-init-scale", type=float, default=0.1, help="NN init scale")
     parser.add_argument("--nn-regularizer", choices=("per_bond", "per_epoch"), default="per_bond",
                         help="apply penalties every bond step or once per epoch")
 
 
-def _provenance(args, extra: dict | None = None) -> dict:
-    prov = {
-        "seed": getattr(args, "seed", None),
-        "argv": [a for a in (args._argv or [])],
+def _provenance(args, extra: dict) -> dict:
+    return {
+        "seed": args.seed,
+        "argv": list(args._argv),
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        **extra,
     }
-    if extra:
-        prov.update(extra)
-    return prov
 
 
 # ---------------------------------------------------------------------------
@@ -189,20 +195,16 @@ def _provenance(args, extra: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    try:
-        spec = ScenarioSpec(
-            regime=args.regime,
-            n_bonds=args.bonds,
-            maturity_range=args.maturity_range,
-            coupon_range=args.coupon_range,
-            spread_over_benchmark=args.spread,
-            price_noise_sd=args.noise,
-            seed=args.seed,
-            base_rate=args.base_rate,
-        )
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
+    spec = ScenarioSpec(
+        regime=args.regime,
+        n_bonds=args.bonds,
+        maturity_range=args.maturity_range,
+        coupon_range=args.coupon_range,
+        spread_over_benchmark=args.spread,
+        price_noise_sd=args.noise,
+        seed=args.seed,
+        base_rate=args.base_rate,
+    )
     snapshot = generate_scenario(spec, date=args.date)
     try:
         save_snapshot(snapshot, args.output, format=args.format)
@@ -219,28 +221,23 @@ def cmd_generate(args) -> int:
 
 
 def _load_for_command(path: str):
+    """The snapshot at ``path``, or None after reporting why it cannot be read (exit 3)."""
     try:
-        return load_snapshot(path), EXIT_OK
+        return load_snapshot(path)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
     except (ParseError, ValidationError) as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
+    return None
 
 
 def cmd_fit(args) -> int:
-    try:
-        config = _fit_config_from_args(args, args.estimator)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    snapshot, code = _load_for_command(args.snapshot)
+    config = _fit_config_from_args(args, args.estimator)
+    snapshot = _load_for_command(args.snapshot)
     if snapshot is None:
-        return code
-    estimator = build_estimator(config)
+        return EXIT_IO
     try:
-        curve = estimator.fit(snapshot)
+        curve = build_estimator(config).fit(snapshot)
     except CurveKitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -248,7 +245,7 @@ def cmd_fit(args) -> int:
     stem = Path(args.snapshot).stem
     model_path = args.output or f"{stem}.{config.estimator}.model.json"
     samples_path = args.samples or f"{stem}.{config.estimator}.samples.csv"
-    grid = config.grid.tenors
+    grid = TenorGrid().tenors
     dense = np.arange(0.1, 30.0 + 1e-9, 0.1)
     tenors = sorted({round(float(t), 10) for t in list(grid) + list(dense)})
     try:
@@ -278,271 +275,175 @@ def _parse_estimators(text: str) -> list[str]:
     return names
 
 
-def _report_path(prefix: str, experiment: str, estimator: str, fmt: str) -> str:
-    return f"{prefix}.{experiment}.{estimator}.{fmt}"
+class _Outcome(NamedTuple):
+    """One estimator's protocol result, shaped for its report and the terminal."""
+
+    metrics: dict
+    details: list
+    provenance: dict  # protocol settings, echoed next to the seed and argv
+    n_failed: int     # failed replicate fits, recorded in the details
+    summary: str
+    per_bucket: dict | None = None
 
 
-def _finish_reports(args, reports: list[tuple[EvaluationReport, str]], n_failed: int) -> int:
+# Adapters call the protocol functions through this module's names at call
+# time, so a wrapper installed on the module (the benchmark tracer's) sees them.
+
+def _curve_moves(rows, label: str, tags) -> tuple[dict, str]:
+    """Curve RMSE and MAD of perturb or drop rows: report metrics and summary cells."""
+    metrics, cells = {}, []
+    for row, tag in zip(rows, tags):
+        metrics[f"rmse_curve[{label}={tag}]"] = row.rmse_curve
+        metrics[f"mad[{label}={tag}]"] = row.mad
+        if row.rmse_curve is not None:
+            cells.append(f"{label} {tag}: rmse {row.rmse_curve * 1e4:.2f} bp / mad {row.mad * 1e4:.2f} bp")
+    return metrics, ", ".join(cells)
+
+
+def _perturb(args, snapshots, estimator: Estimator) -> _Outcome:
+    snapshot, = snapshots
+    bond_id = args.bond or sort_bonds(snapshot.bonds)[-1].id
+    rows = perturb_price_experiment(snapshot, estimator, bond_id, args.bumps)
+    metrics, shown = _curve_moves(rows, "bump", [f"{row.bump:g}" for row in rows])
+    return _Outcome(metrics, [row.__dict__ for row in rows], {"bond": bond_id, "bumps": list(args.bumps)},
+                    n_failed=sum(1 for row in rows if row.error),
+                    summary=f"perturb {estimator.name} (bond {bond_id}): {shown}")
+
+
+def _drop(args, snapshots, estimator: Estimator) -> _Outcome:
+    snapshot, = snapshots
+    rows = drop_bonds_experiment(snapshot, estimator, args.counts, args.mc, seed=args.seed)
+    metrics, shown = _curve_moves(rows, "drop", [row.count for row in rows])
+    details = [
+        {"count": row.count, "n_failed": row.n_failed, "replications": [rep.__dict__ for rep in row.replications]}
+        for row in rows
+    ]
+    return _Outcome(metrics, details, {"counts": list(args.counts), "mc": args.mc},
+                    n_failed=sum(row.n_failed for row in rows),
+                    summary=f"drop {estimator.name} ({args.mc} MC): {shown}")
+
+
+def _stability(args, snapshots, estimator: Estimator) -> _Outcome:
+    result = stability_experiment(snapshots, estimator, threshold=args.threshold)
+    per_bucket = {}
+    for bucket, hit_rate in result.hit_rate.items():
+        day_rmse = [d[bucket] for d in result.day_rmse if d[bucket] is not None]
+        per_bucket[bucket] = {"hit_rate": hit_rate, "rmse_mean": float(np.mean(day_rmse)) if day_rmse else None}
+    details = [
+        {"day_rmse": list(result.day_rmse)},
+        {"fixed_tenor_series": list(result.fixed_tenor_series)},
+        {"skipped": list(result.skipped)},
+    ]
+    rates = ", ".join(f"{bucket}: {rate:.0%}" for bucket, rate in result.hit_rate.items() if rate is not None)
+    summary = (f"stability {estimator.name} over {len(snapshots)} days, "
+               f"hit rate @ {args.threshold * 1e4:.0f} bp: {rates}")
+    provenance = {"threshold": args.threshold, "days": len(snapshots)}
+    return _Outcome({"hit_rate": result.hit_rate["Full"]}, details, provenance,
+                    n_failed=len(result.skipped), summary=summary, per_bucket=per_bucket)
+
+
+def _loo(args, snapshots, estimator: Estimator) -> _Outcome:
+    snapshot, = snapshots
+    result = loo_experiment(snapshot, estimator, args.mc, bucket_filter=args.bucket, seed=args.seed)
+    per_bucket = {
+        bucket: {"rmse_ytm_loo": rmse, "count": result.counts[bucket]}
+        for bucket, rmse in result.per_bucket.items()
+    }
+    cells = ", ".join(
+        f"{bucket}: {rmse:.6f}" if rmse is not None else f"{bucket}: n/a"
+        for bucket, rmse in result.per_bucket.items()
+    )
+    return _Outcome({"rmse_ytm_loo": result.per_bucket["Full"]}, [rep.__dict__ for rep in result.replications],
+                    {"mc": args.mc, "bucket_filter": args.bucket}, n_failed=result.n_failed,
+                    summary=f"loo {estimator.name} ({args.mc} MC): {cells}", per_bucket=per_bucket)
+
+
+def _scan_configs(args) -> list[tuple[tuple, TrainConfig]]:
+    """Hyperscan's grid as ((gamma1, gamma2, epochs, lr), config) pairs, in report order."""
+    return [
+        ((g1, g2, epochs, lr), TrainConfig(
+            learning_rate=lr, epochs=epochs, gamma1=g1, gamma2=g2,
+            seed=args.seed, hidden_count=args.nn_hidden,
+            init_scale=args.nn_init_scale, regularizer=args.nn_regularizer,
+        ))
+        for g1, g2, epochs, lr in itertools.product(args.gamma1, args.gamma2, args.epochs, args.lr)
+    ]
+
+
+def _hyperscan(args, snapshots, configs) -> _Outcome:
+    snapshot, = snapshots
+    rows, metrics, scores = [], {}, {}
+    for (g1, g2, epochs, lr), config in configs:
+        try:
+            score, err = rmse_ytm(NnCurve(train(snapshot, config)), snapshot), None
+        except CurveKitError as exc:
+            score, err = None, str(exc)
+        rows.append({"lr": lr, "epochs": epochs, "gamma1": g1, "gamma2": g2, "rmse_ytm": score, "error": err})
+        metrics[f"rmse_ytm[lr={lr:g},epochs={epochs},g1={g1:g},g2={g2:g}]"] = score
+        scores[g1, g2, epochs, lr] = score
+
+    # Pivot per (gamma1, gamma2): epochs down, learning rates across.
+    lines = []
+    for g1, g2 in itertools.product(args.gamma1, args.gamma2):
+        lines.append(f"RMSE_ytm grid (gamma1={g1:g}, gamma2={g2:g}):")
+        lines.append("  epochs \\ lr " + "".join(f"{lr:>12g}" for lr in args.lr))
+        for epochs in args.epochs:
+            cells = (scores[g1, g2, epochs, lr] for lr in args.lr)
+            lines.append(f"  {epochs:>11} " + "".join(
+                f"{score:>12.6f}" if score is not None else f"{'fail':>12}" for score in cells))
+    provenance = {key: list(getattr(args, key)) for key in ("lr", "epochs", "gamma1", "gamma2")}
+    return _Outcome(metrics, rows, provenance,
+                    n_failed=sum(1 for r in rows if r["error"]), summary="\n".join(lines))
+
+
+ADAPTERS = {"perturb": _perturb, "drop": _drop, "stability": _stability, "loo": _loo, "hyperscan": _hyperscan}
+
+
+def cmd_experiment(args) -> int:
+    """Run one protocol for every selected estimator and write one report each.
+
+    Flag errors exit 2 before any file is read, argument errors before any fit;
+    an unreadable input or report exits 3; a failed base fit exits 4 at once,
+    and failed replicates exit 4 after the reports are written.
+    """
+    kind = args.experiment
+    reports, n_failed = [], 0
     try:
+        if kind == "hyperscan":
+            # hyperscan sweeps the NN alone; its one "estimator" is the grid of configs
+            selected = [("nn", _scan_configs(args))]
+        else:
+            names = _parse_estimators(args.estimators)
+            selected = [(name, build_estimator(_fit_config_from_args(args, name))) for name in names]
+        snapshots = []
+        for path in (args.snapshots if kind == "stability" else [args.snapshot]):
+            snap = _load_for_command(path)
+            if snap is None:
+                return EXIT_IO
+            snapshots.append(snap)
+        for name, estimator in selected:
+            out = ADAPTERS[kind](args, snapshots, estimator)
+            n_failed += out.n_failed
+            report = EvaluationReport(name, kind, out.metrics, per_bucket=out.per_bucket,
+                                      provenance=_provenance(args, out.provenance), details=out.details)
+            reports.append((report, f"{args.output}.{kind}.{name}.{args.format}"))
+            print(out.summary)
         for report, path in reports:
             write_report(report, path, format=args.format)
             print(f"wrote {path}")
-    except OSError as exc:
+    except (ValidationError, KeyError) as exc:  # KeyError: an unknown --bond
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARGS
+    except FitFailureError as exc:  # the protocols raise it only for their base fit
+        print(f"error: base fit failed for {name}: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except OSError as exc:  # reading is handled above, so this is a report
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO
     if n_failed:
         print(f"warning: {n_failed} fit(s) failed; counts recorded in the reports", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_OK
-
-
-def cmd_experiment_perturb(args) -> int:
-    snapshot, code = _load_for_command(args.snapshot)
-    if snapshot is None:
-        return code
-    try:
-        names = _parse_estimators(args.estimators)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    bond_id = args.bond or sort_bonds(snapshot.bonds)[-1].id
-    reports = []
-    n_failed = 0
-    for name in names:
-        estimator = build_estimator(_fit_config_from_args(args, name))
-        try:
-            rows = perturb_price_experiment(snapshot, estimator, bond_id, args.bumps)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ARGS
-        except CurveKitError as exc:
-            print(f"error: base fit failed for {name}: {exc}", file=sys.stderr)
-            return EXIT_COMPUTE
-        metrics = {}
-        for row in rows:
-            tag = f"bump={row.bump:g}"
-            metrics[f"rmse_curve[{tag}]"] = row.rmse_curve
-            metrics[f"mad[{tag}]"] = row.mad
-            if row.error:
-                n_failed += 1
-        report = EvaluationReport(
-            estimator=name,
-            experiment="perturb",
-            metrics=metrics,
-            provenance=_provenance(args, {"bond": bond_id, "bumps": list(args.bumps)}),
-            details=[row.__dict__ for row in rows],
-        )
-        reports.append((report, _report_path(args.output, "perturb", name, args.format)))
-        shown = ", ".join(
-            f"bump {row.bump:g}: rmse {row.rmse_curve * 1e4:.2f} bp / mad {row.mad * 1e4:.2f} bp"
-            for row in rows if row.error is None
-        )
-        print(f"perturb {name} (bond {bond_id}): {shown}")
-    return _finish_reports(args, reports, n_failed)
-
-
-def cmd_experiment_drop(args) -> int:
-    snapshot, code = _load_for_command(args.snapshot)
-    if snapshot is None:
-        return code
-    try:
-        names = _parse_estimators(args.estimators)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    reports = []
-    n_failed = 0
-    for name in names:
-        estimator = build_estimator(_fit_config_from_args(args, name))
-        try:
-            rows = drop_bonds_experiment(snapshot, estimator, args.counts, args.mc, seed=args.seed)
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ARGS
-        except CurveKitError as exc:
-            print(f"error: base fit failed for {name}: {exc}", file=sys.stderr)
-            return EXIT_COMPUTE
-        metrics = {}
-        for row in rows:
-            tag = f"drop={row.count}"
-            metrics[f"rmse_curve[{tag}]"] = row.rmse_curve
-            metrics[f"mad[{tag}]"] = row.mad
-            n_failed += row.n_failed
-        report = EvaluationReport(
-            estimator=name,
-            experiment="drop",
-            metrics=metrics,
-            provenance=_provenance(args, {"counts": list(args.counts), "mc": args.mc}),
-            details=[
-                {
-                    "count": row.count,
-                    "n_failed": row.n_failed,
-                    "replications": [rep.__dict__ for rep in row.replications],
-                }
-                for row in rows
-            ],
-        )
-        reports.append((report, _report_path(args.output, "drop", name, args.format)))
-        shown = ", ".join(
-            f"drop {row.count}: rmse {row.rmse_curve * 1e4:.2f} bp / mad {row.mad * 1e4:.2f} bp"
-            for row in rows if row.rmse_curve is not None
-        )
-        print(f"drop {name} ({args.mc} MC): {shown}")
-    return _finish_reports(args, reports, n_failed)
-
-
-def cmd_experiment_stability(args) -> int:
-    snapshots = []
-    for path in args.snapshots:
-        snap, code = _load_for_command(path)
-        if snap is None:
-            return code
-        snapshots.append(snap)
-    try:
-        names = _parse_estimators(args.estimators)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    reports = []
-    n_failed = 0
-    for name in names:
-        estimator = build_estimator(_fit_config_from_args(args, name))
-        try:
-            result = stability_experiment(snapshots, estimator, threshold=args.threshold)
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ARGS
-        n_failed += len(result.skipped)
-        per_bucket = {
-            bucket: {
-                "hit_rate": result.hit_rate[bucket],
-                "rmse_mean": (
-                    float(np.mean([d[bucket] for d in result.day_rmse if d[bucket] is not None]))
-                    if any(d[bucket] is not None for d in result.day_rmse) else None
-                ),
-            }
-            for bucket in result.hit_rate
-        }
-        report = EvaluationReport(
-            estimator=name,
-            experiment="stability",
-            metrics={"hit_rate": result.hit_rate["Full"]},
-            per_bucket=per_bucket,
-            provenance=_provenance(args, {"threshold": args.threshold, "days": len(snapshots)}),
-            details=[
-                {"day_rmse": list(result.day_rmse)},
-                {"fixed_tenor_series": list(result.fixed_tenor_series)},
-                {"skipped": list(result.skipped)},
-            ],
-        )
-        reports.append((report, _report_path(args.output, "stability", name, args.format)))
-        rates = ", ".join(
-            f"{bucket}: {result.hit_rate[bucket]:.0%}" for bucket in result.hit_rate
-            if result.hit_rate[bucket] is not None
-        )
-        print(f"stability {name} over {len(snapshots)} days, hit rate @ {args.threshold * 1e4:.0f} bp: {rates}")
-    return _finish_reports(args, reports, n_failed)
-
-
-def cmd_experiment_loo(args) -> int:
-    snapshot, code = _load_for_command(args.snapshot)
-    if snapshot is None:
-        return code
-    try:
-        names = _parse_estimators(args.estimators)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    reports = []
-    n_failed = 0
-    for name in names:
-        estimator = build_estimator(_fit_config_from_args(args, name))
-        try:
-            result = loo_experiment(snapshot, estimator, args.mc, bucket_filter=args.bucket, seed=args.seed)
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ARGS
-        n_failed += result.n_failed
-        report = EvaluationReport(
-            estimator=name,
-            experiment="loo",
-            metrics={"rmse_ytm_loo": result.per_bucket["Full"]},
-            per_bucket={
-                bucket: {"rmse_ytm_loo": result.per_bucket[bucket], "count": result.counts[bucket]}
-                for bucket in result.per_bucket
-            },
-            provenance=_provenance(args, {"mc": args.mc, "bucket_filter": args.bucket}),
-            details=[rep.__dict__ for rep in result.replications],
-        )
-        reports.append((report, _report_path(args.output, "loo", name, args.format)))
-        cells = ", ".join(
-            f"{bucket}: {result.per_bucket[bucket]:.6f}" if result.per_bucket[bucket] is not None
-            else f"{bucket}: n/a"
-            for bucket in result.per_bucket
-        )
-        print(f"loo {name} ({args.mc} MC): {cells}")
-    return _finish_reports(args, reports, n_failed)
-
-
-def cmd_experiment_hyperscan(args) -> int:
-    snapshot, code = _load_for_command(args.snapshot)
-    if snapshot is None:
-        return code
-    rows = []
-    n_failed = 0
-    for g1 in args.gamma1:
-        for g2 in args.gamma2:
-            for epochs in args.epochs:
-                for lr in args.lr:
-                    config = TrainConfig(
-                        learning_rate=lr, epochs=epochs, gamma1=g1, gamma2=g2,
-                        seed=args.seed, hidden_count=args.nn_hidden,
-                        init_scale=args.nn_init_scale, regularizer=args.nn_regularizer,
-                    )
-                    try:
-                        params = train(snapshot, config)
-                        score = rmse_ytm(NnCurve(params), snapshot)
-                        err = None
-                    except CurveKitError as exc:
-                        score, err = None, str(exc)
-                        n_failed += 1
-                    rows.append(
-                        {"lr": lr, "epochs": epochs, "gamma1": g1, "gamma2": g2,
-                         "rmse_ytm": score, "error": err}
-                    )
-    metrics = {
-        f"rmse_ytm[lr={r['lr']:g},epochs={r['epochs']},g1={r['gamma1']:g},g2={r['gamma2']:g}]": r["rmse_ytm"]
-        for r in rows
-    }
-    report = EvaluationReport(
-        estimator="nn",
-        experiment="hyperscan",
-        metrics=metrics,
-        provenance=_provenance(args, {
-            "lr": list(args.lr), "epochs": list(args.epochs),
-            "gamma1": list(args.gamma1), "gamma2": list(args.gamma2),
-        }),
-        details=rows,
-    )
-    path = _report_path(args.output, "hyperscan", "nn", args.format)
-
-    # Pivot per (gamma1, gamma2): epochs down, learning rates across.
-    for g1 in args.gamma1:
-        for g2 in args.gamma2:
-            print(f"RMSE_ytm grid (gamma1={g1:g}, gamma2={g2:g}):")
-            header = "  epochs \\ lr " + "".join(f"{lr:>12g}" for lr in args.lr)
-            print(header)
-            for epochs in args.epochs:
-                cells = []
-                for lr in args.lr:
-                    match = next(
-                        r for r in rows
-                        if r["lr"] == lr and r["epochs"] == epochs
-                        and r["gamma1"] == g1 and r["gamma2"] == g2
-                    )
-                    cells.append(f"{match['rmse_ytm']:>12.6f}" if match["rmse_ytm"] is not None else f"{'fail':>12}")
-                print(f"  {epochs:>11} " + "".join(cells))
-    return _finish_reports(args, [(report, path)], n_failed)
 
 
 # ---------------------------------------------------------------------------
@@ -585,34 +486,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default="report", help="report path prefix")
         if with_estimators:
             p.add_argument("--estimators", default="bootstrap,nss,kr,nn")
-        _add_estimator_flags(p)
+            _add_estimator_flags(p)
+        else:
+            _add_nn_shape_flags(p)
+        p.set_defaults(func=cmd_experiment)
 
     pert = exp_sub.add_parser("perturb", help="bump one bond's price and refit")
     pert.add_argument("snapshot")
     pert.add_argument("--bond", default=None, help="bond id (default: longest maturity)")
     pert.add_argument("--bumps", type=_float_list, default=[0.03, 0.05, 0.10])
     common(pert)
-    pert.set_defaults(func=cmd_experiment_perturb)
 
     drop = exp_sub.add_parser("drop", help="randomly drop bonds, Monte Carlo averaged")
     drop.add_argument("snapshot")
     drop.add_argument("--counts", type=_int_list, default=[1, 5, 10])
     drop.add_argument("--mc", type=int, default=10)
     common(drop)
-    drop.set_defaults(func=cmd_experiment_drop)
 
     stab = exp_sub.add_parser("stability", help="day-over-day curve stability")
     stab.add_argument("snapshots", nargs="+", help="date-ordered snapshot files")
     stab.add_argument("--threshold", type=float, default=0.0010, help="hit-rate threshold (decimal)")
     common(stab)
-    stab.set_defaults(func=cmd_experiment_stability)
 
     loo = exp_sub.add_parser("loo", help="leave-one-out yield accuracy by bucket")
     loo.add_argument("snapshot")
     loo.add_argument("--mc", type=int, default=10)
     loo.add_argument("--bucket", choices=("<2Y", "2Y-10Y", ">10Y"), default=None)
     common(loo)
-    loo.set_defaults(func=cmd_experiment_loo)
 
     scan = exp_sub.add_parser("hyperscan", help="sweep NN hyperparameters, tabulate RMSE_ytm")
     scan.add_argument("snapshot")
@@ -621,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--gamma1", type=_float_list, default=[1e3])
     scan.add_argument("--gamma2", type=_float_list, default=[1e4])
     common(scan, with_estimators=False)
-    scan.set_defaults(func=cmd_experiment_hyperscan)
 
     return parser
 
@@ -633,6 +532,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ARGS if exc.code not in (0, None) else EXIT_OK
     args._argv = list(argv) if argv is not None else list(sys.argv[1:])
+    # what a command leaves uncaught maps to its exit code here
     try:
         return args.func(args)
     except ValidationError as exc:

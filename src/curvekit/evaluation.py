@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CurveKitError, ValidationError
+from .errors import CurveKitError, FitFailureError, ValidationError
 from .market import Bond, MarketSnapshot
 from .pricing import YieldCurve, yield_to_maturity
 
@@ -120,6 +120,23 @@ def mad_curve(curve_a: YieldCurve, curve_b: YieldCurve, grid=TenorGrid()) -> flo
 # Experiments
 # ---------------------------------------------------------------------------
 
+def _check_n_mc(n_mc: int) -> None:
+    if n_mc < 1:
+        raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
+
+
+def _base_fit(snapshot: MarketSnapshot, estimator: Estimator) -> YieldCurve:
+    """Fit the reference curve that every replicate is compared with.
+
+    Its failure ends the experiment, so it is raised as a compute failure even
+    when the estimator rejected the snapshot as invalid input.
+    """
+    try:
+        return estimator.fit(snapshot)
+    except CurveKitError as exc:
+        raise FitFailureError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class PerturbRow:
     bump: float
@@ -139,10 +156,14 @@ def perturb_price_experiment(
 
     For each bump fraction the named bond's price is multiplied by (1 + bump)
     and the estimator refit; rows report RMSE and MAD against the unperturbed
-    fit. Fit failures are recorded in the row and the experiment continues.
+    fit. Fit failures are recorded in the row and the experiment continues; a
+    failed unperturbed fit raises ``FitFailureError``.
     """
     snapshot.bond(bond_id)  # raises KeyError for unknown ids
-    base_curve = estimator.fit(snapshot)
+    bumps = list(bumps)
+    if not all(bump > -1 for bump in bumps):
+        raise ValidationError(f"bumps must be > -1 so the bumped price stays positive, got {bumps}")
+    base_curve = _base_fit(snapshot, estimator)
     rows = []
     for bump in bumps:
         bumped_bonds = tuple(
@@ -195,12 +216,16 @@ def drop_bonds_experiment(
 
     The drop sets depend only on (seed, count, replication), so two estimators
     evaluated with the same seed see identical removals. Failed replications
-    are excluded from the averages and counted.
+    are excluded from the averages and counted; a failed fit of the full
+    snapshot raises ``FitFailureError``.
     """
     n = len(snapshot.bonds)
+    if any(c < 0 for c in drop_counts):
+        raise ValidationError(f"drop counts must be >= 0, got {list(drop_counts)}")
     if any(c >= n for c in drop_counts):
         raise ValidationError(f"drop counts must be < number of bonds ({n})")
-    base_curve = estimator.fit(snapshot)
+    _check_n_mc(n_mc)
+    base_curve = _base_fit(snapshot, estimator)
     ids = [b.id for b in snapshot.bonds]
     rows = []
     for count in drop_counts:
@@ -331,6 +356,7 @@ def loo_experiment(
     fitted yield at the held-out maturity and that bond's flat yield. Results
     aggregate per maturity bucket of the held-out bond plus a Full column.
     """
+    _check_n_mc(n_mc)
     if bucket_filter is not None and bucket_filter not in BUCKET_LABELS[1:]:
         raise ValidationError(f"bucket_filter must be one of {BUCKET_LABELS[1:]}, got {bucket_filter!r}")
     eligible = [

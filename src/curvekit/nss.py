@@ -122,7 +122,8 @@ def nss_yield(params: NssParams, t, limit_at_zero: bool = False):
     beta0 + beta1 is returned for those entries.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0) or (not limit_at_zero and np.any(arr <= 0)):
+    # written as "not all valid" so that a NaN maturity is rejected too
+    if not np.all(arr >= 0) or (not limit_at_zero and not np.all(arr > 0)):
         raise ValueError(f"nss_yield requires t > 0 (t = 0 only with limit_at_zero), got {t}")
     out = np.empty_like(arr)
     zero = arr == 0
@@ -140,7 +141,7 @@ def nss_yield(params: NssParams, t, limit_at_zero: bool = False):
 def nss_forward(params: NssParams, t):
     """Instantaneous forward rate at ``t >= 0`` (scalar or array)."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError(f"nss_forward requires t >= 0, got {t}")
     x1 = arr / params.lambda1
     x2 = arr / params.lambda2

@@ -175,6 +175,34 @@ class TestExperiments:
         report = json.loads((workdir / "rep.hyperscan.nn.json").read_text())
         assert len(report["details"]) == 4
 
+    @pytest.mark.parametrize("argv", [["perturb"], ["drop", "--counts", "1", "--mc", "1"]])
+    def test_failed_base_fit_exits_four(self, workdir, capsys, argv):
+        path = generate_day(workdir, bonds=5)
+        kind, *flags = argv
+        assert run(["experiment", kind, str(path), "--estimators", "nss", *flags]) == 4
+        assert "error: base fit failed for nss: >= 6 bonds" in capsys.readouterr().err
+        assert not list(workdir.glob("report.*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["drop", "--counts", "-1"],
+        ["drop", "--counts", "1", "--mc", "0"],
+        ["loo", "--mc", "-1"],
+        ["perturb", "--bumps", "0.03,-1"],
+    ])
+    def test_bad_replicate_or_bump_arguments_exit_two(self, workdir, capsys, argv):
+        path = generate_day(workdir, bonds=10)
+        kind, *flags = argv
+        assert run(["experiment", kind, str(path), "--estimators", "kr", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(workdir.glob("report.*"))
+
+    def test_hyperscan_rejects_flags_it_does_not_read(self, workdir):
+        path = generate_day(workdir, bonds=8)
+        for flag in ("--nss-starts", "--nss-max-iter", "--kr-lambda", "--kr-a", "--kr-b",
+                     "--nn-lr", "--nn-epochs", "--nn-gamma1", "--nn-gamma2"):
+            assert run(["experiment", "hyperscan", str(path), "--epochs", "5", flag, "1"]) == 2
+        assert not list(workdir.glob("report.*"))
+
     def test_rerun_overwrites_byte_identical_modulo_timestamp(self, workdir):
         path = generate_day(workdir, bonds=10)
         argv = ["experiment", "loo", str(path), "--mc", "4", "--estimators", "kr",

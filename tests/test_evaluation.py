@@ -9,6 +9,7 @@ from curvekit import (
     Bond,
     Estimator,
     EvaluationReport,
+    FitFailureError,
     FlatCurve,
     KrCurve,
     MarketSnapshot,
@@ -39,6 +40,8 @@ GRID = TenorGrid()
 
 BOOTSTRAP = Estimator("bootstrap", lambda s: bootstrap(s))
 KR = Estimator("kr", lambda s: KrCurve(fit_kr(s, 1e-2)))
+# argument checks must come before the first fit
+NO_FIT = Estimator("no-fit", lambda s: pytest.fail("a fit ran before the arguments were checked"))
 
 
 class InterpCurve(YieldCurve):
@@ -166,6 +169,18 @@ class TestPerturb:
         with pytest.raises(KeyError):
             perturb_price_experiment(zc_snapshot, KR, "NOPE", [0.03])
 
+    def test_bump_must_keep_price_positive(self, zc_snapshot):
+        bond_id = zc_snapshot.bonds[-1].id
+        for bumps in ([-1.0], [0.03, -2.0], [float("nan")]):
+            with pytest.raises(ValidationError, match="bumps"):
+                perturb_price_experiment(zc_snapshot, NO_FIT, bond_id, bumps)
+
+    def test_failed_base_fit_raises_fit_failure(self):
+        snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=5, seed=2))
+        nss = Estimator("nss", lambda s: NssCurve(fit_nss(s)))
+        with pytest.raises(FitFailureError, match="6 bonds"):
+            perturb_price_experiment(snap, nss, snap.bonds[-1].id, [0.03])
+
 
 class TestDrop:
     def test_rows_and_averaging(self, zc_snapshot):
@@ -192,6 +207,16 @@ class TestDrop:
     def test_count_must_leave_bonds(self, zc_snapshot):
         with pytest.raises(ValidationError):
             drop_bonds_experiment(zc_snapshot, KR, [len(zc_snapshot.bonds)], n_mc=1, seed=0)
+        for counts, n_mc in (([-1], 1), ([1, -3], 1), ([1], 0), ([1], -2)):
+            with pytest.raises(ValidationError):
+                drop_bonds_experiment(zc_snapshot, NO_FIT, counts, n_mc=n_mc, seed=0)
+
+    def test_failed_base_fit_raises_fit_failure(self):
+        snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=5, seed=2))
+        nss = Estimator("nss", lambda s: NssCurve(fit_nss(s)))
+        with pytest.raises(FitFailureError, match="6 bonds") as info:
+            drop_bonds_experiment(snap, nss, [1], n_mc=1, seed=0)
+        assert isinstance(info.value.__cause__, ValidationError)
 
     def test_fit_failures_recorded_not_raised(self):
         snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=6, seed=2))
@@ -291,6 +316,9 @@ class TestLeaveOneOut:
     def test_bad_filter_name(self, zc_snapshot):
         with pytest.raises(ValidationError):
             loo_experiment(zc_snapshot, KR, n_mc=2, bucket_filter="Full", seed=0)
+        for n_mc in (0, -1):
+            with pytest.raises(ValidationError, match="n_mc"):
+                loo_experiment(zc_snapshot, NO_FIT, n_mc=n_mc, seed=0)
 
 
 class TestReports:

@@ -72,6 +72,12 @@ class TestEvaluation:
         assert nss_yield(TRUE, 0.0, limit_at_zero=True) == TRUE.beta0 + TRUE.beta1
         with pytest.raises(ValueError):
             nss_yield(TRUE, -1.0, limit_at_zero=True)
+        for nan in (float("nan"), [1.0, float("nan")]):
+            for limit_at_zero in (False, True):
+                with pytest.raises(ValueError):
+                    nss_yield(TRUE, nan, limit_at_zero=limit_at_zero)
+            with pytest.raises(ValueError):
+                nss_forward(TRUE, nan)
 
     def test_forward_limits(self):
         assert nss_forward(TRUE, 0.0) == pytest.approx(TRUE.beta0 + TRUE.beta1, abs=1e-15)
