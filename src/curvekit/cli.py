@@ -120,13 +120,23 @@ def _model_dict(config: FitConfig, curve, snapshot) -> dict:
 # Flag parsing helpers
 # ---------------------------------------------------------------------------
 
-def _list_of(cast, what: str):
-    """An argparse type for a comma-separated list of ``cast`` values."""
+def _list_of(cast, what: str, distinct: bool = True):
+    """An argparse type for a comma-separated list of ``cast`` values.
+
+    A ``distinct`` list must hold at least one value and no value twice,
+    compared after parsing (``1e-7,1.0e-7`` is a repeat): each value is one
+    set of fits and one report key.
+    """
     def parse(text: str) -> list:
         try:
-            return [cast(x) for x in text.split(",") if x.strip()]
+            values = [cast(x) for x in text.split(",") if x.strip()]
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected a comma-separated list of {what}, got {text!r}")
+        if distinct and not values:
+            raise argparse.ArgumentTypeError(f"expected at least one of {what}, got {text!r}")
+        if distinct and len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+        return values
     return parse
 
 
@@ -135,7 +145,7 @@ _int_list = _list_of(int, "integers")
 
 
 def _pair(text: str) -> tuple[float, float]:
-    parts = _float_list(text)
+    parts = _list_of(float, "numbers", distinct=False)(text)
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected MIN,MAX, got {text!r}")
     return (parts[0], parts[1])
@@ -267,9 +277,11 @@ def cmd_fit(args) -> int:
 
 def _parse_estimators(text: str) -> list[str]:
     names = [n.strip() for n in text.split(",") if n.strip()]
-    for n in names:
+    for i, n in enumerate(names):
         if n not in ESTIMATOR_NAMES:
             raise ValidationError(f"unknown estimator {n!r}; choose from {ESTIMATOR_NAMES}")
+        if n in names[:i]:
+            raise ValidationError(f"estimator {n!r} given twice")
     if not names:
         raise ValidationError("at least one estimator required")
     return names

@@ -39,14 +39,19 @@ _ANCHOR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Weights of the smoothness norm: ``a`` on g', ``b`` on g''."""
+    """Weights of the smoothness norm: ``a`` on g', ``b`` on g''.
+
+    Requires a > 0: with a = 0 the norm only sees g'' and linear functions
+    through the origin are free, so point evaluation is unbounded and no
+    reproducing kernel exists.
+    """
 
     a: float = 1.0
     b: float = 1.0
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.a + self.b <= 0:
-            raise ValidationError(f"kernel weights must satisfy a >= 0, b >= 0, a + b > 0, got a={self.a}, b={self.b}")
+        if not (0 < self.a < np.inf and 0 <= self.b < np.inf):
+            raise ValidationError(f"kernel weights must be finite with a > 0 and b >= 0, got a={self.a}, b={self.b}")
 
 
 @dataclass(frozen=True)
@@ -70,30 +75,20 @@ class KrModel:
         object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
         if len(self.anchor_times) != len(self.alphas):
             raise ValidationError("anchor_times and alphas must have equal length")
-        if self.anchor_times[0] <= 0 or any(
+        if not self.anchor_times or self.anchor_times[0] <= 0 or any(
             t2 <= t1 for t1, t2 in zip(self.anchor_times, self.anchor_times[1:])
         ):
-            raise ValidationError("anchor_times must be strictly increasing and > 0")
+            raise ValidationError("anchor_times must be non-empty, strictly increasing and > 0")
         if not (self.lam > 0):
             raise ValidationError(f"lambda must be > 0, got {self.lam}")
 
 
 def kr_kernel(s, t, kernel_params: KernelParams = KernelParams()):
-    """Reproducing kernel value k(s, t); symmetric, PSD, k(s, 0+) -> 0.
-
-    Requires a > 0: with a = 0 the norm only sees g'' and linear functions
-    through the origin are free, so point evaluation is unbounded and no
-    reproducing kernel exists.
-    """
+    """Reproducing kernel value k(s, t); symmetric, PSD, k(s, 0+) -> 0."""
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     if np.any(s_arr <= 0) or np.any(t_arr <= 0):
         raise ValueError("kr_kernel requires positive arguments")
-    if kernel_params.a <= 0:
-        raise ValidationError(
-            "kernel requires a > 0: with a = 0 linear functions have zero norm "
-            "and the evaluation functional is unbounded"
-        )
     lo = np.minimum(s_arr, t_arr)
     if kernel_params.b == 0:
         out = lo / kernel_params.a

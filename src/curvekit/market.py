@@ -47,10 +47,10 @@ class Cashflow:
     amount: float
 
     def __post_init__(self):
-        if not (self.time > 0):
-            raise ValidationError(f"cashflow time must be > 0, got {self.time}")
-        if not (self.amount > 0):
-            raise ValidationError(f"cashflow amount must be > 0, got {self.amount}")
+        if not (0 < self.time < math.inf):
+            raise ValidationError(f"cashflow time must be finite and > 0, got {self.time}")
+        if not (0 < self.amount < math.inf):
+            raise ValidationError(f"cashflow amount must be finite and > 0, got {self.amount}")
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,17 @@ class Bond:
         times = [cf.time for cf in self.cashflows]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValidationError(f"bond {self.id}: cashflow times must be strictly increasing")
-        if not (self.maturity > 0):
-            raise ValidationError(f"bond {self.id}: maturity must be > 0, got {self.maturity}")
+        if not (0 < self.maturity < math.inf):
+            raise ValidationError(f"bond {self.id}: maturity must be finite and > 0, got {self.maturity}")
         if times and not math.isclose(times[-1], self.maturity, rel_tol=0, abs_tol=1e-9):
             raise ValidationError(
                 f"bond {self.id}: maturity must equal the last cashflow time "
                 f"({times[-1]} != {self.maturity})"
             )
-        if not (self.face_value > 0):
-            raise ValidationError(f"bond {self.id}: face_value must be > 0")
-        if not (self.market_price > 0):
-            raise ValidationError(f"bond {self.id}: market_price must be > 0")
+        if not (0 < self.face_value < math.inf):
+            raise ValidationError(f"bond {self.id}: face_value must be finite and > 0, got {self.face_value}")
+        if not (0 < self.market_price < math.inf):
+            raise ValidationError(f"bond {self.id}: market_price must be finite and > 0, got {self.market_price}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,8 @@ class BenchmarkCurve:
             raise ValidationError("benchmark tenors and rates must have equal length")
         if len(self.tenors) < 2:
             raise ValidationError("benchmark needs at least 2 tenors")
+        if not all(map(math.isfinite, self.tenors + self.rates)):
+            raise ValidationError("benchmark tenors and rates must be finite")
         if self.tenors[0] <= 0 or any(b <= a for a, b in zip(self.tenors, self.tenors[1:])):
             raise ValidationError("benchmark tenors must be strictly increasing and > 0")
 
@@ -292,7 +294,9 @@ def _snapshot_from_dict(data: dict) -> MarketSnapshot:
             for rec in data["bonds"]
         )
         date = str(data.get("date", ""))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ValidationError):
+            raise
         raise ParseError(f"snapshot record is malformed: {exc}") from exc
     return MarketSnapshot(date=date, bonds=bonds, benchmark=benchmark)
 

@@ -12,10 +12,21 @@ the same grid. Gradients are hand-written backpropagation through the bond
 present value, the discount map exp(-t*y), and the network; the max in
 L_smooth uses the standard subgradient (only the argmax pair contributes, ties
 to the lower index). Everything is deterministic given the seed.
+
+The order of every floating-point operation is part of the behaviour.
+Training chains tens of thousands of tiny steps, so one rounding difference in
+a step moves the trained weights, and with them every reported fit, model
+file and golden test. The kernel below is therefore written as in-place numpy
+calls that round exactly like the direct formulas: each matvec keeps the
+operand shape and contiguity of the direct form (a fused or column-sliced
+matvec can round differently), and scalar factors are applied in the same
+grouping. ``tests/test_neural_kernel.py`` holds the direct formulas as the
+oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,8 @@ from .market import BenchmarkCurve, MarketSnapshot, sort_bonds
 from .pricing import YieldCurve, cashflow_schedule, yield_to_maturity
 
 _REGULARIZER_MODES = ("per_bond", "per_epoch")
+
+_sum = np.add.reduce   # what np.sum and ndarray.sum run, without their Python wrappers
 
 
 @dataclass(frozen=True)
@@ -85,13 +98,6 @@ def _tenors(grid) -> np.ndarray:
     return np.asarray(getattr(grid, "tenors", grid), dtype=float)
 
 
-def _forward(w, b, v, ts):
-    """tanh features and partials at times ts; returns (yhat_without_c, th, sech2)."""
-    pre = w[:, None] * ts[None, :] + b[:, None]
-    th = np.tanh(pre)
-    return v @ th, th, 1.0 - th * th
-
-
 def nn_yield(params: NnParams, t):
     """Network output at maturity ``t`` (scalar or array)."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -114,57 +120,123 @@ class NnCurve(YieldCurve):
 # Loss components and their gradients
 # ---------------------------------------------------------------------------
 
-def _bond_arrays(snapshot: MarketSnapshot):
-    bonds = sort_bonds(snapshot.bonds)
-    return [(b.id,) + cashflow_schedule(b) + (b.market_price,) for b in bonds]
+
+class _Pass:
+    """Preallocated buffers for one forward and backward pass over ``[times | tenors]``.
+
+    ``rows`` is a (3, L) table, L = H * (n + G): after ``_features`` its rows
+    hold dy/dw, dy/db and dy/dv (= tanh) of the network output at every time,
+    laid out unit-major as an (H, n) block for the bond's cashflow times
+    followed by an (H, G) block for the penalty grid. Each block and each of
+    its three derivative slices is then a C-contiguous matrix of the shape the
+    per-block matvecs expect, so they round exactly as on separate arrays.
+    A pass without a bond (``times`` empty) serves the grid alone; one without
+    a grid (``tenors`` None) serves the price alone.
+    """
+
+    __slots__ = ("id", "price", "neg_times", "amounts", "ts", "index", "rows", "price_rows",
+                 "th_price", "th_grid", "y_grid", "y_hi", "y_lo", "d_hi", "d_lo", "dsl", "slopes")
+
+    def __init__(self, h, times, amounts=None, price=None, bond_id=None, tenors=None):
+        n = len(times)
+        g = 0 if tenors is None else len(tenors)
+        self.id, self.price, self.amounts = bond_id, price, amounts
+        self.neg_times = -times
+        # every input time once per hidden unit, and the parameter each entry reads
+        self.ts = np.concatenate([np.tile(times, h), np.tile(tenors, h) if g else np.empty(0)])
+        unit = np.concatenate([np.repeat(np.arange(h), n), np.repeat(np.arange(h), g)])
+        self.index = np.stack([unit + 2 * h, unit + h, unit])    # gathers v, b, w into rows
+        self.rows = np.empty((3, h * (n + g)))
+        self.price_rows = self.rows[:, : h * n].reshape(3, h, n)
+        self.th_price = self.price_rows[2]
+        if g:
+            grid_rows = self.rows[:, h * n:].reshape(3, h, g)
+            self.th_grid = grid_rows[2]
+            self.y_grid = np.empty(g)
+            self.y_hi, self.y_lo = self.y_grid[1:], self.y_grid[:-1]
+            self.d_hi, self.d_lo = grid_rows[..., 1:], grid_rows[..., :-1]
+            self.dsl = np.empty((3, h, g - 1))
+            self.slopes = np.empty(g - 1)
 
 
-def _price_and_grad(w, b, v, c, times, amounts):
-    """Present value under the network curve and its parameter gradient."""
-    vh, th, sech2 = _forward(w, b, v, times)
-    y = vh + c
-    disc = amounts * np.exp(-times * y)
-    price = float(disc.sum())
-    coef = -times * disc                      # d price / d y(t_k)
-    gw = (v[:, None] * sech2 * times[None, :]) @ coef
-    gb = (v[:, None] * sech2) @ coef
-    gv = th @ coef
-    gc = float(coef.sum())
-    return price, (gw, gb, gv, gc)
+def _features(theta, p: _Pass) -> None:
+    """Fill ``p.rows`` with dy/dw, dy/db, dy/dv at the parameters ``theta`` = [w | b | v]."""
+    dw, db, dv = p.rows
+    theta.take(p.index, out=p.rows, mode="clip")    # rows: v, b, w repeated per time
+    np.multiply(dv, p.ts, out=dv)
+    np.add(dv, db, out=dv)
+    np.tanh(dv, out=dv)                             # tanh(w t + b)
+    np.multiply(dv, dv, out=db)
+    np.subtract(1.0, db, out=db)
+    np.multiply(dw, db, out=db)                     # v sech^2
+    np.multiply(db, p.ts, out=dw)                   # v sech^2 t
 
 
-def _grid_state(w, b, v, c, tenors):
-    """Curve slopes over the grid and slope gradients per parameter."""
-    vh, th, sech2 = _forward(w, b, v, tenors)
-    y = vh + c
-    dt = np.diff(tenors)
-    slopes = np.diff(y) / dt
-    dy_dw = v[:, None] * sech2 * tenors[None, :]
-    dy_db = v[:, None] * sech2
-    dy_dv = th
-    dsl_w = np.diff(dy_dw, axis=1) / dt
-    dsl_b = np.diff(dy_db, axis=1) / dt
-    dsl_v = np.diff(dy_dv, axis=1) / dt
-    return slopes, dsl_w, dsl_b, dsl_v
+def _price_grad(v, c, p: _Pass, out):
+    """Model price of the bond at ``p`` and its gradient.
+
+    Writes d price / d[w, b, v] into ``out`` (shape (3, H)) and returns
+    ``(price, d price / dc)``. Needs ``_features`` first.
+    """
+    y = v @ p.th_price + c
+    disc = p.amounts * np.exp(p.neg_times * y)
+    coef = p.neg_times * disc                       # d price / d y(t_k)
+    np.matmul(p.price_rows, coef, out=out)
+    return float(_sum(disc)), float(_sum(coef))
 
 
-def _smooth_from_state(slopes, dsl_w, dsl_b, dsl_v):
-    i = int(np.argmax(np.abs(slopes)))       # first max wins on ties
-    s = float(np.sign(slopes[i]))
-    value = float(abs(slopes[i]))
-    return value, (s * dsl_w[:, i], s * dsl_b[:, i], s * dsl_v[:, i], 0.0)
+def _slopes(v, c, p: _Pass, dt):
+    """Curve slopes over the grid and their (3, H, G-1) gradient. Needs ``_features`` first."""
+    np.matmul(v, p.th_grid, out=p.y_grid)
+    np.add(p.y_grid, c, out=p.y_grid)
+    np.subtract(p.y_hi, p.y_lo, out=p.slopes)
+    np.divide(p.slopes, dt, out=p.slopes)
+    np.subtract(p.d_hi, p.d_lo, out=p.dsl)
+    np.divide(p.dsl, dt, out=p.dsl)
+    return p.slopes, p.dsl
 
 
-def _trend_from_state(slopes, bench_slopes, n_grid, dsl_w, dsl_b, dsl_v):
+def _smooth(slopes, dsl):
+    """Largest absolute slope and its subgradient, shape (3, H)."""
+    i = int(np.abs(slopes).argmax())                # first max wins on ties
+    x = float(slopes[i])
+    s = 1.0 if x > 0 else -1.0 if x < 0 else 0.0 if x == 0 else x    # np.sign, nan included
+    return abs(x), s * dsl[..., i]
+
+
+def _trend(slopes, bench_slopes, n_grid, dsl):
+    """Mean absolute slope gap and its subgradient, shape (3, H)."""
     e = slopes - bench_slopes
-    value = float(np.sum(np.abs(e)) / n_grid)
+    value = float(_sum(np.abs(e)) / n_grid)
     sg = np.sign(e) / n_grid
-    return value, (dsl_w @ sg, dsl_b @ sg, dsl_v @ sg, 0.0)
+    return value, dsl @ sg                          # three (H, G-1) matvecs
 
 
 def _benchmark_slopes(benchmark: BenchmarkCurve, tenors: np.ndarray) -> np.ndarray:
     rates = np.array([benchmark.yield_at(float(t)) for t in tenors])
     return np.diff(rates) / np.diff(tenors)
+
+
+def _theta(params: NnParams) -> np.ndarray:
+    return np.array(params.w + params.b + params.v)
+
+
+def _bond_passes(snapshot: MarketSnapshot, h: int, tenors=None) -> list[_Pass]:
+    """One pass per bond, in ascending maturity order (ties by id)."""
+    return [
+        _Pass(h, *cashflow_schedule(b), b.market_price, b.id, tenors)
+        for b in sort_bonds(snapshot.bonds)
+    ]
+
+
+def _grid_pass(params: NnParams, grid):
+    tenors = _tenors(grid)
+    if len(tenors) < 2:
+        raise ValidationError("grid needs at least 2 tenors")
+    theta, h = _theta(params), params.hidden_count
+    p = _Pass(h, np.empty(0), tenors=tenors)
+    _features(theta, p)
+    return tenors, _slopes(theta[2 * h:], params.c, p, np.diff(tenors))
 
 
 def loss_error(params: NnParams, snapshot: MarketSnapshot) -> float:
@@ -173,19 +245,19 @@ def loss_error(params: NnParams, snapshot: MarketSnapshot) -> float:
 
 
 def grad_loss_error(params: NnParams, snapshot: MarketSnapshot):
-    w, b, v, c = np.array(params.w), np.array(params.b), np.array(params.v), params.c
+    theta, h, c = _theta(params), params.hidden_count, params.c
     m = len(snapshot.bonds)
     total = 0.0
-    gw = np.zeros_like(w); gb = np.zeros_like(w); gv = np.zeros_like(w); gc = 0.0
-    for _bid, times, amounts, price in _bond_arrays(snapshot):
-        phat, (pw, pb, pv, pc) = _price_and_grad(w, b, v, c, times, amounts)
-        err = phat - price
+    g3 = np.zeros((3, h)); gc = 0.0
+    pg = np.empty((3, h))
+    for p in _bond_passes(snapshot, h):
+        _features(theta, p)
+        phat, pc = _price_grad(theta[2 * h:], c, p, pg)
+        err = phat - p.price
         total += err**2
-        gw += 2.0 * err * pw
-        gb += 2.0 * err * pb
-        gv += 2.0 * err * pv
+        g3 += 2.0 * err * pg
         gc += 2.0 * err * pc
-    return total / m, (gw / m, gb / m, gv / m, gc / m)
+    return total / m, (*(g3 / m), gc / m)
 
 
 def loss_smooth(params: NnParams, grid) -> float:
@@ -194,12 +266,9 @@ def loss_smooth(params: NnParams, grid) -> float:
 
 
 def grad_loss_smooth(params: NnParams, grid):
-    tenors = _tenors(grid)
-    if len(tenors) < 2:
-        raise ValidationError("grid needs at least 2 tenors")
-    w, b, v, c = np.array(params.w), np.array(params.b), np.array(params.v), params.c
-    state = _grid_state(w, b, v, c, tenors)
-    return _smooth_from_state(*state)
+    _, state = _grid_pass(params, grid)
+    value, g3 = _smooth(*state)
+    return value, (*g3, 0.0)
 
 
 def loss_trend(params: NnParams, benchmark: BenchmarkCurve, grid) -> float:
@@ -208,12 +277,9 @@ def loss_trend(params: NnParams, benchmark: BenchmarkCurve, grid) -> float:
 
 
 def grad_loss_trend(params: NnParams, benchmark: BenchmarkCurve, grid):
-    tenors = _tenors(grid)
-    if len(tenors) < 2:
-        raise ValidationError("grid needs at least 2 tenors")
-    w, b, v, c = np.array(params.w), np.array(params.b), np.array(params.v), params.c
-    slopes, dsl_w, dsl_b, dsl_v = _grid_state(w, b, v, c, tenors)
-    return _trend_from_state(slopes, _benchmark_slopes(benchmark, tenors), len(tenors), dsl_w, dsl_b, dsl_v)
+    tenors, (slopes, dsl) = _grid_pass(params, grid)
+    value, g3 = _trend(slopes, _benchmark_slopes(benchmark, tenors), len(tenors), dsl)
+    return value, (*g3, 0.0)
 
 
 def total_loss(params: NnParams, snapshot: MarketSnapshot, config: TrainConfig) -> float:
@@ -248,77 +314,87 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
     flat yield of the snapshot so the network learns shape, not level.
     Raises DivergenceError (with epoch and bond index) if a step loss turns
     non-finite.
+
+    The step works on one packed vector theta = [w | b | v] (c stays a
+    float), updated in place. Each bond's cashflow times, and in "per_bond"
+    mode the penalty grid after them, get a ``_Pass`` built once per
+    training, so a step is one ``tanh`` over both, two matvecs for the
+    curve, one batched matvec for the price gradient and, with the trend
+    penalty, one for the trend gradient. Every floating-point operation
+    happens in the order of the direct formulas, so the trained network is
+    the same to the last bit.
     """
     config = config or TrainConfig()
-    bonds = _bond_arrays(snapshot)
     tenors = _tenors(config.grid)
+    dt = np.diff(tenors)
     bench_slopes = _benchmark_slopes(snapshot.benchmark, tenors)
     n_grid = len(tenors)
-    per_bond_reg = config.regularizer == "per_bond"
-    use_reg = config.gamma1 > 0 or config.gamma2 > 0
+    gamma1, gamma2 = config.gamma1, config.gamma2
+    penalised = gamma1 > 0 or gamma2 > 0
+    per_bond_reg = penalised and config.regularizer == "per_bond"
+    per_epoch_reg = penalised and not per_bond_reg
+    h = config.hidden_count
+    passes = _bond_passes(snapshot, h, tenors if per_bond_reg else None)
+    grid = _Pass(h, np.empty(0), tenors=tenors) if per_epoch_reg else None
 
     maturities = [b.maturity for b in snapshot.bonds]
     span = max(max(maturities) - min(maturities), 1.0)
     rng = np.random.default_rng(config.seed)
-    h = config.hidden_count
-    w = rng.normal(0.0, config.init_scale / span, h)
-    b = rng.normal(0.0, config.init_scale, h)
-    v = rng.normal(0.0, config.init_scale, h)
+    theta = np.concatenate([
+        rng.normal(0.0, config.init_scale / span, h),   # w
+        rng.normal(0.0, config.init_scale, h),          # b
+        rng.normal(0.0, config.init_scale, h),          # v
+    ])
+    theta3, v = theta.reshape(3, h), theta[2 * h:]
     c = float(np.mean([yield_to_maturity(bond) for bond in snapshot.bonds]))
 
     lr = config.learning_rate
+    g = np.empty(3 * h)
+    g3 = g.reshape(3, h)
     for epoch in range(config.epochs):
-        for j, (bond_id, times, amounts, price) in enumerate(bonds):
-            phat, (pw, pb, pv, pc) = _price_and_grad(w, b, v, c, times, amounts)
-            err = phat - price
+        for j, p in enumerate(passes):
+            _features(theta, p)
+            phat, pc = _price_grad(v, c, p, g3)
+            err = phat - p.price
             step_loss = err**2
-            gw = 2.0 * err * pw
-            gb = 2.0 * err * pb
-            gv = 2.0 * err * pv
+            g *= 2.0 * err
             gc = 2.0 * err * pc
-            if use_reg and per_bond_reg:
-                state = _grid_state(w, b, v, c, tenors)
-                if config.gamma1 > 0:
-                    s_val, (sw, sb, sv, _) = _smooth_from_state(*state)
-                    step_loss += config.gamma1 * s_val
-                    gw += config.gamma1 * sw
-                    gb += config.gamma1 * sb
-                    gv += config.gamma1 * sv
-                if config.gamma2 > 0:
-                    t_val, (tw, tb, tv, _) = _trend_from_state(state[0], bench_slopes, n_grid, *state[1:])
-                    step_loss += config.gamma2 * t_val
-                    gw += config.gamma2 * tw
-                    gb += config.gamma2 * tb
-                    gv += config.gamma2 * tv
-            if not np.isfinite(step_loss):
+            if per_bond_reg:
+                slopes, dsl = _slopes(v, c, p, dt)
+                if gamma1 > 0:
+                    s_val, s_grad = _smooth(slopes, dsl)
+                    step_loss += gamma1 * s_val
+                    g3 += gamma1 * s_grad
+                if gamma2 > 0:
+                    t_val, t_grad = _trend(slopes, bench_slopes, n_grid, dsl)
+                    step_loss += gamma2 * t_val
+                    g3 += gamma2 * t_grad
+            if not math.isfinite(step_loss):
                 raise DivergenceError(
-                    f"training diverged: non-finite loss at epoch {epoch}, bond {bond_id}",
+                    f"training diverged: non-finite loss at epoch {epoch}, bond {p.id}",
                     epoch=epoch, bond_index=j,
                 )
-            w = w - lr * gw
-            b = b - lr * gb
-            v = v - lr * gv
+            theta -= lr * g
             c = c - lr * gc
-        if use_reg and not per_bond_reg:
-            state = _grid_state(w, b, v, c, tenors)
-            s_val, (sw, sb, sv, _) = _smooth_from_state(*state)
-            t_val, (tw, tb, tv, _) = _trend_from_state(state[0], bench_slopes, n_grid, *state[1:])
-            reg_loss = config.gamma1 * s_val + config.gamma2 * t_val
+        if per_epoch_reg:
+            _features(theta, grid)
+            slopes, dsl = _slopes(v, c, grid, dt)
+            s_val, s_grad = _smooth(slopes, dsl)
+            t_val, t_grad = _trend(slopes, bench_slopes, n_grid, dsl)
+            reg_loss = gamma1 * s_val + gamma2 * t_val
             if not np.isfinite(reg_loss):
                 raise DivergenceError(
                     f"training diverged: non-finite penalty after epoch {epoch}",
-                    epoch=epoch, bond_index=len(bonds) - 1,
+                    epoch=epoch, bond_index=len(passes) - 1,
                 )
-            w = w - lr * (config.gamma1 * sw + config.gamma2 * tw)
-            b = b - lr * (config.gamma1 * sb + config.gamma2 * tb)
-            v = v - lr * (config.gamma1 * sv + config.gamma2 * tv)
+            theta3 -= lr * (gamma1 * s_grad + gamma2 * t_grad)
 
-    params = NnParams(w=tuple(w), b=tuple(b), v=tuple(v), c=float(c))
+    params = NnParams(w=tuple(theta3[0]), b=tuple(theta3[1]), v=tuple(theta3[2]), c=float(c))
     final = total_loss(params, snapshot, config)
     if not np.isfinite(final):
         raise DivergenceError(
             f"training diverged: non-finite total loss after epoch {config.epochs - 1}",
-            epoch=config.epochs - 1, bond_index=len(bonds) - 1,
+            epoch=config.epochs - 1, bond_index=len(passes) - 1,
         )
     return params
 

@@ -88,6 +88,20 @@ class TestFit:
         path = generate_day(workdir)
         assert run(["fit", str(path), "--estimator", "kr", "--kr-lambda", "-1"]) == 2
 
+    def test_zero_kr_a_exits_two(self, workdir, capsys):
+        path = generate_day(workdir)
+        assert run(["fit", str(path), "--estimator", "kr", "--kr-a", "0"]) == 2
+        assert "a > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("price", ['"abc"', "Infinity"])
+    def test_non_numeric_or_infinite_price_exits_three(self, workdir, capsys, price):
+        path = generate_day(workdir)
+        text = path.read_text()
+        first = json.loads(text)["bonds"][0]["market_price"]
+        path.write_text(text.replace(f'"market_price": {first!r}', f'"market_price": {price}', 1))
+        assert run(["fit", str(path), "--estimator", "kr"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_fit_outputs_are_deterministic(self, workdir):
         path = generate_day(workdir, bonds=8)
         assert run(["fit", str(path), "--estimator", "kr", "-o", "m1.json", "--samples", "s1.csv"]) == 0
@@ -194,6 +208,27 @@ class TestExperiments:
         kind, *flags = argv
         assert run(["experiment", kind, str(path), "--estimators", "kr", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not list(workdir.glob("report.*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["perturb", "--bumps", ""],
+        ["perturb", "--bumps", "0.03,0.030"],
+        ["perturb", "--estimators", "kr,kr"],
+        ["drop", "--counts", ","],
+        ["drop", "--counts", "1,1"],
+        ["hyperscan", "--lr", ""],
+        ["hyperscan", "--lr", "1e-7,1.0e-7"],
+        ["hyperscan", "--epochs", "5,5"],
+        ["hyperscan", "--gamma1", "0,0.0"],
+        ["hyperscan", "--gamma2", ""],
+    ])
+    def test_empty_or_repeated_list_flag_exits_two(self, workdir, capsys, argv):
+        path = generate_day(workdir, bonds=8)
+        kind, *flags = argv
+        # cheap settings first; a flag given again later overrides them
+        cheap = ["--epochs", "2"] if kind == "hyperscan" else ["--estimators", "kr"]
+        assert run(["experiment", kind, str(path), *cheap, *flags]) == 2
+        assert "error: " in capsys.readouterr().err
         assert not list(workdir.glob("report.*"))
 
     def test_hyperscan_rejects_flags_it_does_not_read(self, workdir):

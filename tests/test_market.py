@@ -32,10 +32,9 @@ def make_bond(bond_id="B1", maturity=2.0, coupon=3.0, price=101.0):
 
 class TestTypeInvariants:
     def test_cashflow_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            Cashflow(time=0.0, amount=1.0)
-        with pytest.raises(ValidationError):
-            Cashflow(time=1.0, amount=0.0)
+        for time, amount in ((0.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValidationError):
+                Cashflow(time=time, amount=amount)
 
     def test_bond_unordered_cashflows_names_bond(self):
         flows = (Cashflow(2.0, 3.0), Cashflow(1.0, 3.0))
@@ -47,8 +46,13 @@ class TestTypeInvariants:
             Bond(id="B1", cashflows=(Cashflow(1.0, 3.0),), face_value=100.0, maturity=2.0, market_price=100.0)
 
     def test_bond_rejects_nonpositive_price(self):
-        with pytest.raises(ValidationError, match="market_price"):
-            Bond(id="B1", cashflows=(), face_value=100.0, maturity=1.0, market_price=0.0)
+        for price in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="market_price"):
+                Bond(id="B1", cashflows=(), face_value=100.0, maturity=1.0, market_price=price)
+        with pytest.raises(ValidationError, match="face_value"):
+            Bond(id="B1", cashflows=(), face_value=math.inf, maturity=1.0, market_price=100.0)
+        with pytest.raises(ValidationError, match="maturity"):
+            Bond(id="B1", cashflows=(), face_value=100.0, maturity=math.inf, market_price=100.0)
 
     def test_snapshot_rejects_empty_bonds(self):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -64,6 +68,10 @@ class TestTypeInvariants:
             BenchmarkCurve(tenors=(1.0,), rates=(0.02,))
         with pytest.raises(ValidationError):
             BenchmarkCurve(tenors=(2.0, 1.0), rates=(0.02, 0.02))
+        for tenors, rates in (((1.0, math.inf), (0.02, 0.02)), ((1.0, math.nan), (0.02, 0.02)),
+                              ((1.0, 2.0), (0.02, math.inf)), ((1.0, 2.0), (math.nan, 0.02))):
+            with pytest.raises(ValidationError, match="finite"):
+                BenchmarkCurve(tenors=tenors, rates=rates)
 
     def test_scenario_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -102,9 +110,14 @@ class TestRoundTrip:
 
     def test_load_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ParseError):
-            load_snapshot(path)
+        bond = {"id": "B1", "face_value": 100.0, "maturity": 2.0, "market_price": "abc", "cashflows": []}
+        bench = {"tenors": [1.0, 2.0], "rates": [0.02, 0.02]}
+        for text in ("{not json",
+                     json.dumps({"date": "d", "benchmark": bench, "bonds": [bond]}),
+                     json.dumps({"date": "d", "benchmark": {**bench, "rates": ["x", 0.02]}, "bonds": []})):
+            path.write_text(text)
+            with pytest.raises(ParseError):
+                load_snapshot(path)
 
     def test_load_validation_error_names_offender(self, tmp_path):
         snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=3, seed=0))
@@ -119,6 +132,11 @@ class TestRoundTrip:
         path = tmp_path / "bad_bond.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValidationError, match="WRONG"):
+            load_snapshot(path)
+        # json writes and reads inf as Infinity
+        data["bonds"][0].update(cashflows=[], market_price=math.inf)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="WRONG: market_price must be finite"):
             load_snapshot(path)
 
     def test_load_empty_bonds_array(self, tmp_path):
