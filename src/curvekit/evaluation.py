@@ -71,13 +71,14 @@ def bucket_of(t: float) -> str:
     return ">10Y"
 
 
+def _bucket_mask(tenors: np.ndarray, bucket: str) -> np.ndarray:
+    return np.array([bucket == "Full" or bucket_of(t) == bucket for t in tenors], dtype=bool)
+
+
 def bucket_grid(grid, bucket: str) -> np.ndarray:
     """Grid tenors falling in ``bucket`` ('Full' returns the whole grid)."""
     tenors = _tenor_array(grid)
-    if bucket == "Full":
-        return tenors
-    keep = np.array([bucket_of(t) == bucket for t in tenors])
-    return tenors[keep]
+    return tenors[_bucket_mask(tenors, bucket)]
 
 
 def curve_yields(curve: YieldCurve, grid) -> np.ndarray:
@@ -102,18 +103,22 @@ def rmse_ytm(curve: YieldCurve, snapshot: MarketSnapshot) -> float:
     return float(np.sqrt(np.mean(np.square(errs))))
 
 
+def _rmse(ya: np.ndarray, yb: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((ya - yb) ** 2)))
+
+
+def _mad(ya: np.ndarray, yb: np.ndarray) -> float:
+    return float(np.max(np.abs(ya - yb)))
+
+
 def rmse_curve(curve_a: YieldCurve, curve_b: YieldCurve, grid=TenorGrid()) -> float:
     """Root-mean-square yield gap between two curves over the grid."""
-    ya = curve_yields(curve_a, grid)
-    yb = curve_yields(curve_b, grid)
-    return float(np.sqrt(np.mean((ya - yb) ** 2)))
+    return _rmse(curve_yields(curve_a, grid), curve_yields(curve_b, grid))
 
 
 def mad_curve(curve_a: YieldCurve, curve_b: YieldCurve, grid=TenorGrid()) -> float:
     """Maximum absolute yield gap between two curves over the grid."""
-    ya = curve_yields(curve_a, grid)
-    yb = curve_yields(curve_b, grid)
-    return float(np.max(np.abs(ya - yb)))
+    return _mad(curve_yields(curve_a, grid), curve_yields(curve_b, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +169,7 @@ def perturb_price_experiment(
     if not all(bump > -1 for bump in bumps):
         raise ValidationError(f"bumps must be > -1 so the bumped price stays positive, got {bumps}")
     base_curve = _base_fit(snapshot, estimator)
+    base = None  # its grid yields, evaluated at the first refit that needs them
     rows = []
     for bump in bumps:
         bumped_bonds = tuple(
@@ -177,13 +183,10 @@ def perturb_price_experiment(
         except CurveKitError as exc:
             rows.append(PerturbRow(bump=float(bump), rmse_curve=None, mad=None, error=str(exc)))
             continue
-        rows.append(
-            PerturbRow(
-                bump=float(bump),
-                rmse_curve=rmse_curve(base_curve, curve, grid),
-                mad=mad_curve(base_curve, curve, grid),
-            )
-        )
+        if base is None:
+            base = curve_yields(base_curve, grid)
+        ys = curve_yields(curve, grid)
+        rows.append(PerturbRow(bump=float(bump), rmse_curve=_rmse(base, ys), mad=_mad(base, ys)))
     return rows
 
 
@@ -226,6 +229,7 @@ def drop_bonds_experiment(
         raise ValidationError(f"drop counts must be < number of bonds ({n})")
     _check_n_mc(n_mc)
     base_curve = _base_fit(snapshot, estimator)
+    base = None  # its grid yields, evaluated at the first refit that needs them
     ids = [b.id for b in snapshot.bonds]
     rows = []
     for count in drop_counts:
@@ -243,9 +247,10 @@ def drop_bonds_experiment(
             except CurveKitError as exc:
                 reps.append(DropReplication(dropped, None, None, str(exc)))
                 continue
-            reps.append(
-                DropReplication(dropped, rmse_curve(base_curve, curve, grid), mad_curve(base_curve, curve, grid))
-            )
+            if base is None:
+                base = curve_yields(base_curve, grid)
+            ys = curve_yields(curve, grid)
+            reps.append(DropReplication(dropped, _rmse(base, ys), _mad(base, ys)))
         ok = [r for r in reps if r.error is None]
         rows.append(
             DropRow(
@@ -302,14 +307,25 @@ def stability_experiment(
             row[f"benchmark_{label}"] = snap.benchmark.yield_at(tenor)
         series.append(row)
 
+    # each fitted day's grid yields, evaluated once when a pair first needs
+    # them; a bucket's values are a slice of them
+    grid_yields: dict[int, np.ndarray] = {}
+
+    def yields_of(day: int) -> np.ndarray:
+        if day not in grid_yields:
+            grid_yields[day] = curve_yields(curves[day], grid)
+        return grid_yields[day]
+
+    tenors = _tenor_array(grid)
+    masks = {bucket: _bucket_mask(tenors, bucket) for bucket in BUCKET_LABELS}
     day_rmse = []
     for prev, cur in zip(range(len(snapshots) - 1), range(1, len(snapshots))):
         if curves[prev] is None or curves[cur] is None:
             continue
+        ya, yb = yields_of(cur), yields_of(prev)
         entry = {"date": snapshots[cur].date}
-        for bucket in BUCKET_LABELS:
-            sub = bucket_grid(grid, bucket)
-            entry[bucket] = rmse_curve(curves[cur], curves[prev], sub) if len(sub) else None
+        for bucket, mask in masks.items():
+            entry[bucket] = _rmse(ya[mask], yb[mask]) if mask.any() else None
         day_rmse.append(entry)
 
     hit_rate = {}

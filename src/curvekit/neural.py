@@ -80,12 +80,12 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(float(t) for t in self.grid))
-        if not (self.learning_rate > 0):
-            raise ValidationError("learning_rate must be > 0")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValidationError("gamma1 and gamma2 must be >= 0")
+        if not (0 <= self.gamma1 < math.inf and 0 <= self.gamma2 < math.inf):
+            raise ValidationError(f"gamma1 and gamma2 must be finite and >= 0, got {self.gamma1}, {self.gamma2}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValidationError("grid must be strictly increasing")
         if self.hidden_count < 1:
@@ -254,7 +254,7 @@ def grad_loss_error(params: NnParams, snapshot: MarketSnapshot):
         _features(theta, p)
         phat, pc = _price_grad(theta[2 * h:], c, p, pg)
         err = phat - p.price
-        total += err**2
+        total += err * err
         g3 += 2.0 * err * pg
         gc += 2.0 * err * pc
     return total / m, (*(g3 / m), gc / m)
@@ -356,7 +356,7 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
             _features(theta, p)
             phat, pc = _price_grad(v, c, p, g3)
             err = phat - p.price
-            step_loss = err**2
+            step_loss = err * err   # inf on overflow, where err**2 would raise
             g *= 2.0 * err
             gc = 2.0 * err * pc
             if per_bond_reg:

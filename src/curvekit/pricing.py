@@ -7,11 +7,28 @@ discounted coupons plus the discounted final coupon and face value.
 The bootstrap builds an exact-fit curve knot by knot, shortest maturity
 first, and serves as the baseline estimator and pricing oracle for the
 model-based curves.
+
+Per-bond analytics are memoised. Each ``Bond`` gets one record on first use:
+its cashflow times and amounts as read-only arrays, its flat yield and its
+Macaulay duration. The records sit in a table keyed weakly by the bond, so a
+record lives exactly as long as its bond object does: a CLI command solves
+each bond once and leaves nothing behind when it returns, and a value-equal
+bond (the same bond reloaded from a file) finds the same record. A yield
+solve that fails stores nothing, so ``NoSolutionError`` is raised again on
+every call.
+
+Operation order is part of the behaviour. Yields and durations weight every
+fitter's price errors, and the fitters chain them into simplex trajectories
+and SGD steps where a last-bit difference grows into a different curve. So
+the records and the bootstrap's per-step kernel compute every value with the
+floating-point operations of the direct formulas, in the same order;
+``tests/test_pricing_kernel.py`` keeps those formulas as the oracle.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -81,11 +98,37 @@ class BootstrapCurve(YieldCurve):
         return float(np.interp(t, self.knot_times, self.knot_yields))
 
 
+class _BondRecord:
+    """One bond's memoised analytics; ``ytm`` and ``duration`` stay None until solved."""
+
+    __slots__ = ("times", "amounts", "ytm", "duration")
+
+    def __init__(self, bond: Bond):
+        self.times = np.array([cf.time for cf in bond.cashflows] + [bond.maturity])
+        self.amounts = np.array([cf.amount for cf in bond.cashflows] + [bond.face_value])
+        self.times.flags.writeable = False
+        self.amounts.flags.writeable = False
+        self.ytm: float | None = None
+        self.duration: float | None = None
+
+
+_MEMO: weakref.WeakKeyDictionary[Bond, _BondRecord] = weakref.WeakKeyDictionary()
+
+
+def _record(bond: Bond) -> _BondRecord:
+    record = _MEMO.get(bond)
+    if record is None:
+        record = _MEMO[bond] = _BondRecord(bond)
+    return record
+
+
 def cashflow_schedule(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
-    """All payment times and amounts of ``bond``, face value included at maturity."""
-    times = np.array([cf.time for cf in bond.cashflows] + [bond.maturity])
-    amounts = np.array([cf.amount for cf in bond.cashflows] + [bond.face_value])
-    return times, amounts
+    """All payment times and amounts of ``bond``, face value included at maturity.
+
+    The arrays are the bond's memoised ones and read-only.
+    """
+    record = _record(bond)
+    return record.times, record.amounts
 
 
 def cashflow_matrix(bonds, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -96,15 +139,15 @@ def cashflow_matrix(bonds, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     ``C[j, l]`` is the total amount bond j pays at anchor l, face value
     included at maturity.
     """
-    all_times = np.concatenate([cashflow_schedule(b)[0] for b in bonds])
+    schedules = [cashflow_schedule(b) for b in bonds]
+    all_times = np.concatenate([times for times, _ in schedules])
     anchors: list[float] = []
     for t in np.sort(all_times):
         if not anchors or t - anchors[-1] > tol:
             anchors.append(float(t))
     anchor_times = np.array(anchors)
     C = np.zeros((len(bonds), len(anchor_times)))
-    for j, bond in enumerate(bonds):
-        times, amounts = cashflow_schedule(bond)
+    for j, (times, amounts) in enumerate(schedules):
         idx = np.searchsorted(anchor_times, times - tol)
         np.add.at(C[j], idx, amounts)  # final coupon and face share the maturity slot
     return anchor_times, C
@@ -128,7 +171,32 @@ def present_value(curve: YieldCurve, bond: Bond) -> float:
 
 
 def _pv_flat(times: np.ndarray, amounts: np.ndarray, rate: float) -> float:
-    return float(np.sum(amounts * np.exp(-times * rate)))
+    return float(np.add.reduce(amounts * np.exp(-times * rate)))
+
+
+def _bisect(excess, tol: float, width: float) -> float | None:
+    """Root of the decreasing function ``excess`` on ``YTM_BRACKET``, by bisection.
+
+    Returns None when no root lies in the bracket (to within ``tol``).
+    Otherwise halves the bracket, at most 200 times, until a midpoint has
+    ``|excess| <= tol`` (that midpoint is the root) or the bracket is
+    narrower than ``width`` (its midpoint is).
+    """
+    lo, hi = YTM_BRACKET
+    if excess(lo) < -tol or excess(hi) > tol:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = excess(mid)
+        if abs(f_mid) <= tol:
+            return mid
+        if f_mid > 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < width:
+            break
+    return 0.5 * (lo + hi)
 
 
 def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what: str) -> float:
@@ -137,56 +205,49 @@ def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what:
     Bisection on the bracket, with a Newton polish once the residual is small.
     PV is strictly decreasing in the rate so the bracket test is exact.
     """
-    lo, hi = YTM_BRACKET
-    tol = _PRICE_TOL_REL * price
-    f_lo = _pv_flat(times, amounts, lo) - price
-    f_hi = _pv_flat(times, amounts, hi) - price
-    if f_lo < -tol or f_hi > tol:
+    rate = _bisect(lambda r: _pv_flat(times, amounts, r) - price, _PRICE_TOL_REL * price, 1e-15)
+    if rate is None:
+        lo, hi = YTM_BRACKET
         raise NoSolutionError(
             f"{what}: price {price} outside attainable range "
             f"[{_pv_flat(times, amounts, hi):.6f}, {_pv_flat(times, amounts, lo):.6f}] "
             f"for rates in [{lo}, {hi}]"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _pv_flat(times, amounts, mid) - price
-        if abs(f_mid) <= tol:
-            lo = hi = mid
-            break
-        if f_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    rate = 0.5 * (lo + hi)
     # Newton polish well past the contract tolerance; dPV/dr = -sum(t cf e^(-t r))
-    best_rate, best_resid = rate, abs(_pv_flat(times, amounts, rate) - price)
+    resid = _pv_flat(times, amounts, rate) - price
+    best_rate, best_resid = rate, abs(resid)
     for _ in range(8):
-        resid = _pv_flat(times, amounts, rate) - price
         if abs(resid) < best_resid:
             best_rate, best_resid = rate, abs(resid)
         if abs(resid) <= 1e-15 * price:
             break
-        deriv = -float(np.sum(times * amounts * np.exp(-times * rate)))
+        deriv = -float(np.add.reduce(times * amounts * np.exp(-times * rate)))
         if deriv == 0:
             break
         rate -= resid / deriv
+        resid = _pv_flat(times, amounts, rate) - price
     return best_rate
+
+
+def _yield(bond: Bond, record: _BondRecord) -> float:
+    if record.ytm is None:
+        record.ytm = _solve_flat_rate(record.times, record.amounts, bond.market_price, f"bond {bond.id}")
+    return record.ytm
 
 
 def yield_to_maturity(bond: Bond) -> float:
     """Flat continuously-compounded rate that reprices ``bond`` to its market price."""
-    times, amounts = cashflow_schedule(bond)
-    return _solve_flat_rate(times, amounts, bond.market_price, f"bond {bond.id}")
+    return _yield(bond, _record(bond))
 
 
 def macaulay_duration(bond: Bond) -> float:
     """PV-weighted average payment time at the bond's own flat yield."""
-    ytm = yield_to_maturity(bond)
-    times, amounts = cashflow_schedule(bond)
-    disc = amounts * np.exp(-times * ytm)
-    return float(np.sum(times * disc) / np.sum(disc))
+    record = _record(bond)
+    if record.duration is None:
+        ytm = _yield(bond, record)
+        disc = record.amounts * np.exp(-record.times * ytm)
+        record.duration = float(np.sum(record.times * disc) / np.sum(disc))
+    return record.duration
 
 
 def duration_price_weights(bonds) -> np.ndarray:
@@ -211,6 +272,38 @@ def forward_rate(curve: YieldCurve, t: float, h: float = 1e-4) -> float:
     return curve.yield_at(t) + t * dy
 
 
+def _candidate_pv(times: np.ndarray, amounts: np.ndarray, knot_t: np.ndarray, knot_y: np.ndarray):
+    """``pv(y)``: present value of the cashflows under the knots with ``knot_y[-1] = y``.
+
+    ``knot_t`` and ``knot_y`` hold the placed knots followed by the slot of the
+    bond being solved; ``pv`` writes each candidate into ``knot_y[-1]``. The
+    cashflows at or before the last placed knot do not depend on the
+    candidate, so they are discounted once into a buffer; each call
+    recomputes only the cashflows after that knot, in place, and sums the
+    whole buffer. The elements and the summation order are those of
+    ``sum(amounts * exp(-times * interp(times, knot_t, knot_y)))``, so every
+    value is bit-identical to it.
+    """
+    n = len(knot_t) - 1
+    # coupon times increase and the bond matures past the last placed knot,
+    # so the cashflows that see the candidate are a suffix
+    k = int(np.count_nonzero(times <= knot_t[n - 1])) if n else 0
+    disc = np.empty(len(times))
+    if k:
+        head = times[:k]
+        disc[:k] = amounts[:k] * np.exp(-head * np.interp(head, knot_t[:n], knot_y[:n]))
+    tail_t, neg_tail_t, tail_a, tail = times[k:], -times[k:], amounts[k:], disc[k:]
+
+    def pv(y: float) -> float:
+        knot_y[-1] = y
+        np.multiply(neg_tail_t, np.interp(tail_t, knot_t, knot_y), out=tail)
+        np.exp(tail, out=tail)
+        np.multiply(tail_a, tail, out=tail)
+        return float(np.add.reduce(disc))
+
+    return pv
+
+
 def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
     """Sequential exact-fit curve: one knot per bond, shortest maturity first.
 
@@ -223,52 +316,37 @@ def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
 
     Bonds that cannot be repriced inside the bracket, and bonds sharing a
     maturity with an already-placed knot, are skipped and reported in the
-    curve's diagnostics.
+    curve's diagnostics. A bisection step recomputes only the cashflows
+    that see the candidate (``_candidate_pv``).
     """
-    knot_times: list[float] = []
-    knot_yields: list[float] = []
+    bonds = sort_bonds(snapshot.bonds)
+    # placed knots in [:n]; slot n holds the bond being solved and its candidate
+    ts = np.empty(len(bonds))
+    ys = np.empty(len(bonds))
+    n = 0
     diagnostics: list[str] = []
 
-    for bond in sort_bonds(snapshot.bonds):
-        if knot_times and abs(bond.maturity - knot_times[-1]) <= 1e-9:
+    for bond in bonds:
+        if n and abs(bond.maturity - ts[n - 1]) <= 1e-9:
             diagnostics.append(
                 f"bond {bond.id}: maturity {bond.maturity} duplicates an existing knot; skipped"
             )
             continue
-        times, amounts = cashflow_schedule(bond)
-
-        def pv_with_candidate(y: float) -> float:
-            ts = np.array(knot_times + [bond.maturity])
-            ys = np.array(knot_yields + [y])
-            rates = np.interp(times, ts, ys)
-            return float(np.sum(amounts * np.exp(-times * rates)))
-
-        lo, hi = YTM_BRACKET
-        tol = _PRICE_TOL_REL * bond.market_price
-        if pv_with_candidate(lo) - bond.market_price < -tol or pv_with_candidate(hi) - bond.market_price > tol:
-            diagnostics.append(
-                f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {bond.market_price}; skipped"
-            )
+        ts[n] = bond.maturity
+        pv = _candidate_pv(*cashflow_schedule(bond), ts[: n + 1], ys[: n + 1])
+        price = bond.market_price
+        y = _bisect(lambda y: pv(y) - price, _PRICE_TOL_REL * price, 1e-16)
+        if y is None:
+            lo, hi = YTM_BRACKET
+            diagnostics.append(f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {price}; skipped")
             continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = pv_with_candidate(mid) - bond.market_price
-            if abs(f_mid) <= tol:
-                lo = hi = mid
-                break
-            if f_mid > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-16:
-                break
-        knot_times.append(bond.maturity)
-        knot_yields.append(0.5 * (lo + hi))
+        ys[n] = y
+        n += 1
 
-    if not knot_times:
+    if not n:
         raise NoSolutionError("bootstrap failed for every bond: " + "; ".join(diagnostics))
     return BootstrapCurve(
-        knot_times=tuple(knot_times),
-        knot_yields=tuple(knot_yields),
+        knot_times=tuple(ts[:n].tolist()),
+        knot_yields=tuple(ys[:n].tolist()),
         diagnostics=tuple(diagnostics),
     )

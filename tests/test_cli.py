@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from curvekit.cli import main
@@ -108,6 +109,20 @@ class TestFit:
         assert run(["fit", str(path), "--estimator", "kr", "-o", "m2.json", "--samples", "s2.csv"]) == 0
         assert (workdir / "m1.json").read_bytes() == (workdir / "m2.json").read_bytes()
         assert (workdir / "s1.csv").read_bytes() == (workdir / "s2.csv").read_bytes()
+
+    def test_overflowing_price_error_exits_four(self, workdir, capsys):
+        # a price error past ~1e154 squares to inf, which is a divergence, not a traceback
+        path = generate_day(workdir, bonds=15, seed=33, extra=("--noise", "0.002"))
+        argv = ["fit", str(path), "--estimator", "nn", "--nn-lr", "1e-3",
+                "--nn-regularizer", "per_epoch", "--nn-epochs", "30"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(argv) == 4
+        assert "training diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [("--nn-gamma1", "nan"), ("--nn-gamma2", "inf"), ("--nn-lr", "inf")])
+    def test_non_finite_nn_knob_exits_two_before_reading(self, workdir, capsys, flags):
+        assert run(["fit", "absent.json", "--estimator", "nn", *flags]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def strip_timestamp(path):

@@ -292,6 +292,12 @@ class TestTraining:
         with pytest.raises(ValidationError):
             TrainConfig(regularizer="sometimes")
 
+    @pytest.mark.parametrize("knob", ["learning_rate", "gamma1", "gamma2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite_knobs(self, knob, value):
+        with pytest.raises(ValidationError, match="finite"):
+            TrainConfig(**{knob: value})
+
 
 class TestSerialization:
     def test_round_trip_exact(self):

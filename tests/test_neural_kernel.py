@@ -280,7 +280,7 @@ class TestTrainOracle:
         dict(learning_rate=1e-4, gamma1=0.0, gamma2=0.0),               # a step loss, no penalties
         dict(learning_rate=1e-5),                                       # a step loss, both penalties
         dict(learning_rate=1e-4, regularizer="per_epoch"),              # a step loss mid-epoch
-        dict(gamma1=float("inf"), regularizer="per_epoch"),             # the per-epoch penalty
+        dict(learning_rate=1e-2, gamma1=1e200, regularizer="per_epoch"),  # the per-epoch penalty
     ])
     def test_divergence_matches_reference(self, knobs):
         snap = DAYS["falling"]
