@@ -69,6 +69,8 @@ class FitConfig:
             raise ValidationError(f"estimator must be one of {ESTIMATOR_NAMES}, got {self.estimator!r}")
         if not (self.kr_lambda > 0):
             raise ValidationError(f"kr lambda must be > 0, got {self.kr_lambda}")
+        if self.kr_lambda == np.inf:
+            raise ValidationError("kr lambda must be finite, got inf")
 
 
 def build_estimator(config: FitConfig) -> Estimator:
@@ -142,6 +144,17 @@ def _list_of(cast, what: str, distinct: bool = True):
 
 _float_list = _list_of(float, "numbers")
 _int_list = _list_of(int, "integers")
+
+
+def _seed(text: str) -> int:
+    """A random seed: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -475,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--noise", type=float, default=0.0, help="multiplicative price noise sd")
     gen.add_argument("--base-rate", type=float, default=0.03)
     gen.add_argument("--date", default=None, help="snapshot date label")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--format", choices=("json", "csv"), default="json")
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
@@ -483,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit one estimator and write model + curve samples")
     fit.add_argument("snapshot")
     fit.add_argument("--estimator", choices=ESTIMATOR_NAMES, required=True)
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=_seed, default=0)
     fit.add_argument("-o", "--output", default=None, help="model JSON path")
     fit.add_argument("--samples", default=None, help="curve sample CSV path")
     _add_estimator_flags(fit)
@@ -493,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_sub = exp.add_subparsers(dest="experiment", required=True)
 
     def common(p, with_estimators=True):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("-o", "--output", default="report", help="report path prefix")
         if with_estimators:

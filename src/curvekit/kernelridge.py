@@ -26,11 +26,12 @@ system of one equation per bond.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import InvalidDiscountError, SingularSystemError, ValidationError
+from .errors import FitFailureError, InvalidDiscountError, SingularSystemError, ValidationError
 from .market import MarketSnapshot
 from .pricing import YieldCurve, cashflow_matrix, duration_price_weights
 
@@ -81,6 +82,11 @@ class KrModel:
             raise ValidationError("anchor_times must be non-empty, strictly increasing and > 0")
         if not (self.lam > 0):
             raise ValidationError(f"lambda must be > 0, got {self.lam}")
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``anchor_times`` and ``alphas`` as arrays, built on first evaluation."""
+        return np.array(self.anchor_times), np.array(self.alphas)
 
 
 def kr_kernel(s, t, kernel_params: KernelParams = KernelParams()):
@@ -143,8 +149,8 @@ def fit_kr(
     which satisfies the alpha-space normal equations exactly, so alpha is a
     global minimizer of the convex objective.
     """
-    if not (lam > 0):
-        raise ValidationError(f"lambda must be > 0, got {lam}")
+    if not (0 < lam < np.inf):
+        raise ValidationError(f"lambda must be finite and > 0, got {lam}")
     bonds = list(snapshot.bonds)
     anchor_times, C = cashflow_matrix(bonds, tol=_ANCHOR_TOL)
     K = kernel_matrix(anchor_times, kernel_params)
@@ -155,6 +161,12 @@ def fit_kr(
     sqrt_w = np.sqrt(w)
     G = C @ K @ C.T
     A = sqrt_w[:, None] * G * sqrt_w[None, :] + lam * np.eye(len(bonds))
+    if not np.isfinite(A).all():
+        # sinh(m * t) overflows once m = sqrt(a / b) passes about 710 / t
+        raise FitFailureError(
+            f"kernel matrix is not finite for a={kernel_params.a}, b={kernel_params.b}; "
+            f"raise b or lower a"
+        )
     u = _solve_spd(A, sqrt_w * resid0)
     alphas = C.T @ (sqrt_w * u)
 
@@ -192,8 +204,7 @@ def kr_discount(model: KrModel, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise ValueError(f"kr_discount requires t > 0, got {t}")
-    anchors = np.array(model.anchor_times)
-    alphas = np.array(model.alphas)
+    anchors, alphas = model._arrays
     kvals = kr_kernel(t_arr[..., None], anchors, model.kernel_params)
     out = 1.0 + kvals @ alphas
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out

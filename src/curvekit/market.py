@@ -168,8 +168,8 @@ class ScenarioSpec:
         lo, hi = self.maturity_range
         if not (0 < lo < hi):
             raise ValidationError(f"maturity_range must satisfy 0 < min < max, got {self.maturity_range}")
-        if self.price_noise_sd < 0:
-            raise ValidationError("price_noise_sd must be >= 0")
+        if not (0 <= self.price_noise_sd < math.inf):
+            raise ValidationError(f"price_noise_sd must be finite and >= 0, got {self.price_noise_sd}")
         if self.coupon_range[0] > self.coupon_range[1] or self.coupon_range[0] < 0:
             raise ValidationError(f"invalid coupon_range {self.coupon_range}")
 

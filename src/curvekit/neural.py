@@ -90,6 +90,10 @@ class TrainConfig:
             raise ValidationError("grid must be strictly increasing")
         if self.hidden_count < 1:
             raise ValidationError("hidden_count must be >= 1")
+        if not (0 <= self.init_scale < math.inf):
+            raise ValidationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
+        if self.init_scale == 0:
+            object.__setattr__(self, "init_scale", 0.0)  # numpy's normal rejects a scale of -0.0
         if self.regularizer not in _REGULARIZER_MODES:
             raise ValidationError(f"regularizer must be one of {_REGULARIZER_MODES}")
 

@@ -23,6 +23,17 @@ and SGD steps where a last-bit difference grows into a different curve. So
 the records and the bootstrap's per-step kernel compute every value with the
 floating-point operations of the direct formulas, in the same order;
 ``tests/test_pricing_kernel.py`` keeps those formulas as the oracle.
+
+Both root solves (flat yields and bootstrap knots) bisect, and both first
+fence the root with a few tangent steps. A point the tangent steps evaluate
+with an excess over the price beyond twice the tolerance is a certificate:
+present value is strictly decreasing in the rate and its evaluation error
+(about 1e-14 of the price) is far below the tolerance (1e-10 of it), so every
+midpoint on the far side of that point would evaluate beyond the tolerance
+with the same sign. The bisection takes those midpoints' known branch
+without evaluating them and returns the same float as the plain bisection,
+bit for bit (``_bisect``; ``tests/test_bisect.py`` keeps the plain loop as
+its oracle).
 """
 
 from __future__ import annotations
@@ -174,29 +185,92 @@ def _pv_flat(times: np.ndarray, amounts: np.ndarray, rate: float) -> float:
     return float(np.add.reduce(amounts * np.exp(-times * rate)))
 
 
-def _bisect(excess, tol: float, width: float) -> float | None:
+def _bisect(excess, tol: float, width: float, slope, guess: float) -> float | None:
     """Root of the decreasing function ``excess`` on ``YTM_BRACKET``, by bisection.
 
     Returns None when no root lies in the bracket (to within ``tol``).
     Otherwise halves the bracket, at most 200 times, until a midpoint has
     ``|excess| <= tol`` (that midpoint is the root) or the bracket is
     narrower than ``width`` (its midpoint is).
+
+    First, up to 16 tangent steps from ``guess`` fence the root. ``slope`` is
+    the derivative of ``excess``; it is called only right after ``excess`` at
+    the same point, so it may reuse that evaluation's work. The steps aim at
+    ``excess = 4 tol`` until a point ``a`` lands between 2 tol and 8 tol,
+    then take one step aimed at ``-6 tol`` to a point ``b``. Every
+    point evaluated on the way with ``excess > 2 tol`` certifies that side
+    of the root, and so does every one with ``excess < -2 tol``. The tangent
+    phase stops at a slope that is not finite and negative or a step that
+    leaves the open bracket; a guess outside it starts from the midpoint.
+
+    The bisection then runs unchanged, except that a midpoint at or left of
+    the rightmost ``excess > 2 tol`` point takes ``lo = mid`` and one at or
+    right of the leftmost ``excess < -2 tol`` point takes ``hi = mid``,
+    without calling ``excess``, and the bracket-end test is skipped on each
+    side that holds a certificate. This returns the plain bisection's float
+    (or None) bit for bit, provided ``excess`` is an evaluation of a
+    decreasing function with an error below ``tol / 2``: the exact function
+    is at least 2 tol - tol/2 at every point left of a certificate with
+    ``excess > 2 tol``, so its evaluation there would exceed ``tol`` and take
+    ``lo = mid``, and symmetrically on the other side. The pricing callers
+    meet this with room to spare: present value falls strictly with the
+    rate, and its rounding error is about 1e-14 of the price where tol is
+    1e-10 of it. Rounding is relative only above the subnormal range, so a
+    ``tol`` below 1e-300 skips the tangent phase.
     """
     lo, hi = YTM_BRACKET
-    if excess(lo) < -tol or excess(hi) > tol:
+    below, above = -math.inf, math.inf  # certificates: excess > 2 tol at below, < -2 tol at above
+    if tol > 1e-300:
+        x = guess if lo < guess < hi else 0.5 * (lo + hi)
+        target = 4.0 * tol
+        for _ in range(16):
+            f = excess(x)
+            if f > 2.0 * tol:
+                below = max(below, x)
+            elif f < -2.0 * tol:
+                above = min(above, x)
+            if target < 0:
+                break
+            if 2.0 * tol < f < 8.0 * tol:
+                target = -6.0 * tol
+            d = slope(x)
+            if not (-math.inf < d < 0):
+                break
+            x -= (f - target) / d
+            if not (lo < x < hi):
+                break
+    if below == -math.inf and excess(lo) < -tol or above == math.inf and excess(hi) > tol:
         return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = excess(mid)
-        if abs(f_mid) <= tol:
-            return mid
-        if f_mid > 0:
+        if mid <= below:
             lo = mid
-        else:
+        elif mid >= above:
             hi = mid
+        else:
+            f_mid = excess(mid)
+            if abs(f_mid) <= tol:
+                return mid
+            if f_mid > 0:
+                lo = mid
+            else:
+                hi = mid
         if hi - lo < width:
             break
     return 0.5 * (lo + hi)
+
+
+def _flat_guess(times: np.ndarray, amounts: np.ndarray, price: float) -> float:
+    """The rate at which all the cashflows, paid at their amount-weighted mean
+    time, are worth ``price``; clamped into the open ``YTM_BRACKET``.
+
+    A start for the tangent steps; by Jensen's inequality on ``exp(-r t)``
+    it lies at or left of the flat yield.
+    """
+    lo, hi = YTM_BRACKET
+    total = float(np.add.reduce(amounts))
+    guess = (math.log(total) - math.log(price)) * total / float(times @ amounts)
+    return min(max(guess, math.nextafter(lo, hi)), math.nextafter(hi, lo))
 
 
 def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what: str) -> float:
@@ -205,7 +279,14 @@ def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what:
     Bisection on the bracket, with a Newton polish once the residual is small.
     PV is strictly decreasing in the rate so the bracket test is exact.
     """
-    rate = _bisect(lambda r: _pv_flat(times, amounts, r) - price, _PRICE_TOL_REL * price, 1e-15)
+    weighted = times * amounts
+    rate = _bisect(
+        lambda r: _pv_flat(times, amounts, r) - price,
+        _PRICE_TOL_REL * price,
+        1e-15,
+        slope=lambda r: -float(weighted @ np.exp(-times * r)),
+        guess=_flat_guess(times, amounts, price),
+    )
     if rate is None:
         lo, hi = YTM_BRACKET
         raise NoSolutionError(
@@ -283,6 +364,12 @@ def _candidate_pv(times: np.ndarray, amounts: np.ndarray, knot_t: np.ndarray, kn
     whole buffer. The elements and the summation order are those of
     ``sum(amounts * exp(-times * interp(times, knot_t, knot_y)))``, so every
     value is bit-identical to it.
+
+    ``pv.slope(y)`` is ``dpv/dy`` at ``y`` right after ``pv(y)``: one dot
+    product of the tail buffer with ``-t * dr/dy``, where the rate of a tail
+    cashflow moves with the candidate by its interpolation weight
+    ``(t - t_last) / (t_new - t_last)``, or 1 past the new knot and for the
+    first knot.
     """
     n = len(knot_t) - 1
     # coupon times increase and the bond matures past the last placed knot,
@@ -293,6 +380,8 @@ def _candidate_pv(times: np.ndarray, amounts: np.ndarray, knot_t: np.ndarray, kn
         head = times[:k]
         disc[:k] = amounts[:k] * np.exp(-head * np.interp(head, knot_t[:n], knot_y[:n]))
     tail_t, neg_tail_t, tail_a, tail = times[k:], -times[k:], amounts[k:], disc[k:]
+    weight = np.minimum((tail_t - knot_t[n - 1]) / (knot_t[n] - knot_t[n - 1]), 1.0) if n else 1.0
+    neg_tail_tw = neg_tail_t * weight
 
     def pv(y: float) -> float:
         knot_y[-1] = y
@@ -301,6 +390,7 @@ def _candidate_pv(times: np.ndarray, amounts: np.ndarray, knot_t: np.ndarray, kn
         np.multiply(tail_a, tail, out=tail)
         return float(np.add.reduce(disc))
 
+    pv.slope = lambda y: float(tail @ neg_tail_tw)
     return pv
 
 
@@ -312,7 +402,9 @@ def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
     cashflows between the last knot and the new maturity see the linear
     interpolation toward the candidate knot, so the solved bond reprices
     exactly under the final curve. Present value is strictly decreasing in the
-    candidate yield, solved by bisection on the standard bracket.
+    candidate yield, solved by bisection on the standard bracket; its tangent
+    phase starts from the previous knot's yield, or from ``_flat_guess`` for
+    the first knot.
 
     Bonds that cannot be repriced inside the bracket, and bonds sharing a
     maturity with an already-placed knot, are skipped and reported in the
@@ -333,9 +425,11 @@ def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
             )
             continue
         ts[n] = bond.maturity
-        pv = _candidate_pv(*cashflow_schedule(bond), ts[: n + 1], ys[: n + 1])
+        times, amounts = cashflow_schedule(bond)
+        pv = _candidate_pv(times, amounts, ts[: n + 1], ys[: n + 1])
         price = bond.market_price
-        y = _bisect(lambda y: pv(y) - price, _PRICE_TOL_REL * price, 1e-16)
+        guess = float(ys[n - 1]) if n else _flat_guess(times, amounts, price)
+        y = _bisect(lambda y: pv(y) - price, _PRICE_TOL_REL * price, 1e-16, slope=pv.slope, guess=guess)
         if y is None:
             lo, hi = YTM_BRACKET
             diagnostics.append(f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {price}; skipped")

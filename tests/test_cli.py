@@ -48,6 +48,16 @@ class TestGenerate:
     def test_unwritable_output(self, workdir):
         assert run(["generate", "--regime", "flat", "-o", "no-such-dir/x.json"]) == 3
 
+    def test_non_finite_noise_exits_two(self, workdir, capsys):
+        # NaN used to pass the ``< 0`` check and then skip the noise: a noise-free day, exit 0
+        assert run(["generate", "--regime", "flat", "--noise", "nan", "-o", "x.json"]) == 2
+        assert "price_noise_sd must be finite" in capsys.readouterr().err
+        assert not (workdir / "x.json").exists()
+
+    def test_negative_seed_exits_two(self, workdir, capsys):
+        assert run(["generate", "--regime", "flat", "--seed", "-1", "-o", "x.json"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_csv_format(self, workdir):
         generate_day(workdir, name="day.csv", extra=("--format", "csv"))
         assert (workdir / "day.benchmark.csv").exists()
@@ -123,6 +133,29 @@ class TestFit:
     def test_non_finite_nn_knob_exits_two_before_reading(self, workdir, capsys, flags):
         assert run(["fit", "absent.json", "--estimator", "nn", *flags]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["fit", "absent.json", "--estimator", "nn"],
+                                         ["experiment", "hyperscan", "absent.json"]])
+    @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+    def test_bad_nn_init_scale_exits_two_before_reading(self, workdir, capsys, command, scale):
+        assert run([*command, "--nn-init-scale", scale]) == 2
+        assert "init_scale must be finite and >= 0" in capsys.readouterr().err
+
+    def test_infinite_kr_lambda_exits_two_before_reading(self, workdir, capsys):
+        assert run(["fit", "absent.json", "--estimator", "kr", "--kr-lambda", "inf"]) == 2
+        assert "kr lambda must be finite" in capsys.readouterr().err
+
+    def test_overflowing_kr_kernel_exits_four(self, workdir, capsys):
+        path = generate_day(workdir)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["fit", str(path), "--estimator", "kr", "--kr-b", "1e-8"]) == 4
+        assert "kernel matrix is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["fit", "absent.json", "--estimator", "nss"],
+                                         ["experiment", "drop", "absent.json", "--estimators", "kr"]])
+    def test_negative_seed_exits_two_before_reading(self, workdir, capsys, command):
+        assert run([*command, "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def strip_timestamp(path):

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from curvekit import (
     BenchmarkCurve,
     Bond,
+    FitFailureError,
     InvalidDiscountError,
     KernelParams,
     KrModel,
@@ -247,6 +248,17 @@ class TestFit:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValidationError):
             fit_kr(five_bond_snapshot(), lam=0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_lambda_must_be_finite(self, lam):
+        with pytest.raises(ValidationError, match="finite"):
+            fit_kr(five_bond_snapshot(), lam=lam)
+
+    def test_overflowing_kernel_fails_the_fit(self):
+        # sqrt(a / b) = 1e4 overflows sinh at every anchor past 0.071 years
+        with pytest.raises(FitFailureError, match="kernel matrix is not finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            fit_kr(five_bond_snapshot(), kernel_params=KernelParams(a=1.0, b=1e-8))
 
     def test_shared_coupon_dates_deduplicate(self):
         snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=8, seed=1))

@@ -82,6 +82,9 @@ class TestTypeInvariants:
             ScenarioSpec(regime="flat", maturity_range=(5.0, 1.0))
         with pytest.raises(ValidationError):
             ScenarioSpec(regime="flat", price_noise_sd=-0.1)
+        for sd in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="price_noise_sd must be finite"):
+                ScenarioSpec(regime="flat", price_noise_sd=sd)
 
 
 class TestRoundTrip:

@@ -298,6 +298,17 @@ class TestTraining:
         with pytest.raises(ValidationError, match="finite"):
             TrainConfig(**{knob: value})
 
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_config_rejects_negative_or_non_finite_init_scale(self, value):
+        with pytest.raises(ValidationError, match="init_scale must be finite and >= 0"):
+            TrainConfig(init_scale=value)
+
+    def test_zero_init_scale_of_either_sign_trains(self):
+        # numpy's normal rejects a scale of -0.0; the config stores +0.0
+        snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=6, seed=2))
+        params = [train(snap, TrainConfig(epochs=1, init_scale=scale)) for scale in (0.0, -0.0)]
+        assert params[0] == params[1]
+
 
 class TestSerialization:
     def test_round_trip_exact(self):
