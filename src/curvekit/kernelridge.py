@@ -80,8 +80,8 @@ class KrModel:
             t2 <= t1 for t1, t2 in zip(self.anchor_times, self.anchor_times[1:])
         ):
             raise ValidationError("anchor_times must be non-empty, strictly increasing and > 0")
-        if not (self.lam > 0):
-            raise ValidationError(f"lambda must be > 0, got {self.lam}")
+        if not (0 < self.lam < np.inf):
+            raise ValidationError(f"lambda must be finite and > 0, got {self.lam}")
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:

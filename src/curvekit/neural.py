@@ -13,15 +13,24 @@ present value, the discount map exp(-t*y), and the network; the max in
 L_smooth uses the standard subgradient (only the argmax pair contributes, ties
 to the lower index). Everything is deterministic given the seed.
 
-The order of every floating-point operation is part of the behaviour.
-Training chains tens of thousands of tiny steps, so one rounding difference in
-a step moves the trained weights, and with them every reported fit, model
-file and golden test. The kernel below is therefore written as in-place numpy
-calls that round exactly like the direct formulas: each matvec keeps the
-operand shape and contiguity of the direct form (a fused or column-sliced
-matvec can round differently), and scalar factors are applied in the same
-grouping. ``tests/test_neural_kernel.py`` holds the direct formulas as the
-oracle.
+Every step, whatever its kind (a bond's price error alone, the price error
+with the per-bond penalties, or the per-epoch penalty on its own), is one
+formulation. One forward pass runs over the concatenated inputs
+``[cashflow times | grid tenors]``: one ``tanh`` fills a (3, H, n + G) table of
+dy/dw, dy/db, dy/dv, and one curve matvec gives y at every input. The step
+then writes d loss / d y at each input into one weight vector:
+``2 err (-t disc)`` on the cashflow times and, on the grid, the finite
+difference of ``(gamma1 s [i = argmax] + gamma2 sign(e) / G) / dt``. One
+matmul of the table against that vector is the gradient. ``grad_loss_*`` and
+``total_loss`` run the same step.
+
+Training chains tens of thousands of tiny steps, so a last-bit change in a
+step (another summation order, another SIMD path) moves the trained weights.
+It moves them little: the behaviour is a tolerance, not a bit pattern.
+``tests/test_neural_kernel.py`` holds a golden of trained weights over a
+matrix of configurations and checks every retraining against it within a
+stated relative tolerance; a fixed seed on one machine still gives the same
+bits on every run.
 """
 
 from __future__ import annotations
@@ -86,8 +95,10 @@ class TrainConfig:
             raise ValidationError("epochs must be >= 1")
         if not (0 <= self.gamma1 < math.inf and 0 <= self.gamma2 < math.inf):
             raise ValidationError(f"gamma1 and gamma2 must be finite and >= 0, got {self.gamma1}, {self.gamma2}")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValidationError("grid must be strictly increasing")
+        if len(self.grid) < 2:
+            raise ValidationError("grid needs at least 2 tenors")
+        if not all(0 < t < math.inf for t in self.grid) or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+            raise ValidationError("grid tenors must be finite, strictly increasing and > 0")
         if self.hidden_count < 1:
             raise ValidationError("hidden_count must be >= 1")
         if not (0 <= self.init_scale < math.inf):
@@ -126,94 +137,133 @@ class NnCurve(YieldCurve):
 
 
 class _Pass:
-    """Preallocated buffers for one forward and backward pass over ``[times | tenors]``.
+    """Buffers for one step over the inputs ``[cashflow times | grid tenors]``.
 
-    ``rows`` is a (3, L) table, L = H * (n + G): after ``_features`` its rows
-    hold dy/dw, dy/db and dy/dv (= tanh) of the network output at every time,
-    laid out unit-major as an (H, n) block for the bond's cashflow times
-    followed by an (H, G) block for the penalty grid. Each block and each of
-    its three derivative slices is then a C-contiguous matrix of the shape the
-    per-block matvecs expect, so they round exactly as on separate arrays.
-    A pass without a bond (``times`` empty) serves the grid alone; one without
-    a grid (``tenors`` None) serves the price alone.
+    After ``_forward``, ``rows`` (3, H, n + G) holds dy/dw, dy/db and dy/dv
+    (= tanh) of the network output at every input and ``y`` (n + G) the output
+    itself. ``ts`` repeats the inputs once per hidden unit and ``index`` names
+    the parameter each entry of ``rows`` starts from, so ``_forward`` fills
+    the table with one gather and same-shape elementwise calls. A step writes
+    d loss / d y into ``weights``: ``2 err d price / d y`` on the n cashflow
+    times and the penalty's weight on the G grid tenors (``_penalty``). A pass
+    without a bond (n = 0) serves the grid alone; one without a grid (G = 0)
+    serves the price alone.
     """
 
-    __slots__ = ("id", "price", "neg_times", "amounts", "ts", "index", "rows", "price_rows",
-                 "th_price", "th_grid", "y_grid", "y_hi", "y_lo", "d_hi", "d_lo", "dsl", "slopes")
+    __slots__ = ("id", "price", "n", "ts", "index", "neg_times", "neg_flows", "amounts", "rows", "flat", "th",
+                 "y", "y_price", "y_hi", "y_lo", "disc", "weights", "w_price", "w_grid", "slopes", "gap",
+                 "q_pad", "q")
 
     def __init__(self, h, times, amounts=None, price=None, bond_id=None, tenors=None):
         n = len(times)
         g = 0 if tenors is None else len(tenors)
-        self.id, self.price, self.amounts = bond_id, price, amounts
-        self.neg_times = -times
-        # every input time once per hidden unit, and the parameter each entry reads
-        self.ts = np.concatenate([np.tile(times, h), np.tile(tenors, h) if g else np.empty(0)])
-        unit = np.concatenate([np.repeat(np.arange(h), n), np.repeat(np.arange(h), g)])
+        self.id, self.price, self.n, self.amounts = bond_id, price, n, amounts
+        self.ts = np.tile(np.concatenate([times, tenors if g else np.empty(0)]), h)
+        unit = np.repeat(np.arange(h), n + g)
         self.index = np.stack([unit + 2 * h, unit + h, unit])    # gathers v, b, w into rows
-        self.rows = np.empty((3, h * (n + g)))
-        self.price_rows = self.rows[:, : h * n].reshape(3, h, n)
-        self.th_price = self.price_rows[2]
-        if g:
-            grid_rows = self.rows[:, h * n:].reshape(3, h, g)
-            self.th_grid = grid_rows[2]
-            self.y_grid = np.empty(g)
-            self.y_hi, self.y_lo = self.y_grid[1:], self.y_grid[:-1]
-            self.d_hi, self.d_lo = grid_rows[..., 1:], grid_rows[..., :-1]
-            self.dsl = np.empty((3, h, g - 1))
-            self.slopes = np.empty(g - 1)
+        self.neg_times = -times
+        self.neg_flows = self.neg_times * amounts if n else None    # -t * amount
+        self.rows = np.empty((3, h, n + g))
+        self.flat = self.rows.reshape(3, h * (n + g))
+        self.th = self.rows[2]
+        self.y = np.empty(n + g)
+        self.y_price, self.y_hi, self.y_lo = self.y[:n], self.y[n + 1:], self.y[n:-1]
+        self.disc = np.empty(n)
+        self.weights = np.empty(n + g)
+        self.w_price, self.w_grid = self.weights[:n], self.weights[n:]
+        self.slopes = np.empty(max(g - 1, 0))
+        self.gap = np.empty(max(g - 1, 0))
+        self.q_pad = np.zeros(g + 1)     # [0 | q | 0]
+        self.q = self.q_pad[1:-1]
 
 
-def _features(theta, p: _Pass) -> None:
-    """Fill ``p.rows`` with dy/dw, dy/db, dy/dv at the parameters ``theta`` = [w | b | v]."""
-    dw, db, dv = p.rows
-    theta.take(p.index, out=p.rows, mode="clip")    # rows: v, b, w repeated per time
+class _Penalty:
+    """``gamma1 * L_smooth + gamma2 * L_trend`` over one tenor grid.
+
+    A slope's sign times its scale is the ``q_i`` of ``_penalty``:
+    ``trend_scale`` is gamma2 / (G dt_i) for every slope gap and
+    ``smooth_scale`` gamma1 / dt_i for the steepest slope.
+    """
+
+    __slots__ = ("tenors", "dt", "gamma1", "gamma2", "n_grid", "bench_slopes", "trend_scale", "smooth_scale")
+
+    def __init__(self, tenors, gamma1, gamma2, benchmark=None):
+        if len(tenors) < 2:
+            raise ValidationError("grid needs at least 2 tenors")
+        self.tenors, self.dt = tenors, np.diff(tenors)
+        self.gamma1, self.gamma2, self.n_grid = gamma1, gamma2, len(tenors)
+        self.bench_slopes = _benchmark_slopes(benchmark, tenors) if gamma2 else None
+        self.trend_scale = gamma2 / self.n_grid / self.dt
+        self.smooth_scale = (gamma1 / self.dt).tolist()
+
+
+def _forward(theta, v, c, p: _Pass) -> None:
+    """Fill ``p.rows`` and ``p.y`` at ``theta`` = [w | b | v] (``v`` its last third) and ``c``."""
+    dw, db, dv = p.flat
+    theta.take(p.index, out=p.flat, mode="clip")   # rows: v, b, w repeated per input
     np.multiply(dv, p.ts, out=dv)
     np.add(dv, db, out=dv)
-    np.tanh(dv, out=dv)                             # tanh(w t + b)
+    np.tanh(dv, out=dv)                             # tanh(w u + b)
     np.multiply(dv, dv, out=db)
     np.subtract(1.0, db, out=db)
     np.multiply(dw, db, out=db)                     # v sech^2
-    np.multiply(db, p.ts, out=dw)                   # v sech^2 t
+    np.multiply(db, p.ts, out=dw)                   # v sech^2 u
+    np.matmul(v, p.th, out=p.y)
+    np.add(p.y, c, out=p.y)
 
 
-def _price_grad(v, c, p: _Pass, out):
-    """Model price of the bond at ``p`` and its gradient.
+def _penalty(p: _Pass, pen: _Penalty) -> float:
+    """Penalty value at the grid outputs of ``p``; writes its d / d y into ``p.w_grid``.
 
-    Writes d price / d[w, b, v] into ``out`` (shape (3, H)) and returns
-    ``(price, d price / dc)``. Needs ``_features`` first.
+    With ``q_i`` = (d penalty / d slope_i) / dt_i, the weight on output j is
+    ``q_{j-1} - q_j`` (``q`` is zero-padded at both ends). The max in
+    L_smooth uses the standard subgradient: only the argmax slope
+    contributes, ties to the lower index.
     """
-    y = v @ p.th_price + c
-    disc = p.amounts * np.exp(p.neg_times * y)
-    coef = p.neg_times * disc                       # d price / d y(t_k)
-    np.matmul(p.price_rows, coef, out=out)
-    return float(_sum(disc)), float(_sum(coef))
+    slopes, q = p.slopes, p.q
+    np.subtract(p.y_hi, p.y_lo, out=slopes)
+    np.divide(slopes, pen.dt, out=slopes)
+    value = 0.0
+    if pen.gamma1:
+        i = int(np.abs(slopes).argmax())            # first max wins on ties
+        x = float(slopes[i])
+        s = 1.0 if x > 0 else -1.0 if x < 0 else 0.0 if x == 0 else x    # np.sign, nan included
+        value = pen.gamma1 * abs(x)
+    if pen.gamma2:
+        np.subtract(slopes, pen.bench_slopes, out=p.gap)
+        np.sign(p.gap, out=q)
+        value += pen.gamma2 * (float(q @ p.gap) / pen.n_grid)    # sign(e) . e = sum |e|
+        np.multiply(q, pen.trend_scale, out=q)
+    else:
+        q.fill(0.0)
+    if pen.gamma1:
+        q[i] += s * pen.smooth_scale[i]
+    np.subtract(p.q_pad[:-1], p.q_pad[1:], out=p.w_grid)
+    return value
 
 
-def _slopes(v, c, p: _Pass, dt):
-    """Curve slopes over the grid and their (3, H, G-1) gradient. Needs ``_features`` first."""
-    np.matmul(v, p.th_grid, out=p.y_grid)
-    np.add(p.y_grid, c, out=p.y_grid)
-    np.subtract(p.y_hi, p.y_lo, out=p.slopes)
-    np.divide(p.slopes, dt, out=p.slopes)
-    np.subtract(p.d_hi, p.d_lo, out=p.dsl)
-    np.divide(p.dsl, dt, out=p.dsl)
-    return p.slopes, p.dsl
+def _step(theta, v, c, p: _Pass, pen: _Penalty | None, grad) -> tuple[float, float]:
+    """Loss at ``p`` and its gradient: d / d[w, b, v] into ``grad`` (3, H), d / dc returned.
 
-
-def _smooth(slopes, dsl):
-    """Largest absolute slope and its subgradient, shape (3, H)."""
-    i = int(np.abs(slopes).argmax())                # first max wins on ties
-    x = float(slopes[i])
-    s = 1.0 if x > 0 else -1.0 if x < 0 else 0.0 if x == 0 else x    # np.sign, nan included
-    return abs(x), s * dsl[..., i]
-
-
-def _trend(slopes, bench_slopes, n_grid, dsl):
-    """Mean absolute slope gap and its subgradient, shape (3, H)."""
-    e = slopes - bench_slopes
-    value = float(_sum(np.abs(e)) / n_grid)
-    sg = np.sign(e) / n_grid
-    return value, dsl @ sg                          # three (H, G-1) matvecs
+    The loss is the squared price error of the pass's bond (if it has one)
+    plus ``pen`` at its grid (if it has one). ``c`` moves only the price: the
+    penalties see slopes alone.
+    """
+    _forward(theta, v, c, p)
+    loss = gc = 0.0
+    if p.n:
+        disc, w_price = p.disc, p.w_price
+        np.multiply(p.neg_times, p.y_price, out=disc)
+        np.exp(disc, out=disc)                      # discount factors
+        err = float(p.amounts @ disc) - p.price
+        loss = err * err                            # inf on overflow, where err**2 would raise
+        np.multiply(p.neg_flows, disc, out=w_price)  # d price / d y(t_k)
+        np.multiply(w_price, 2.0 * err, out=w_price)
+        gc = float(_sum(w_price))
+    if len(p.w_grid):
+        loss += _penalty(p, pen)
+    np.matmul(p.rows, p.weights, out=grad)
+    return loss, gc
 
 
 def _benchmark_slopes(benchmark: BenchmarkCurve, tenors: np.ndarray) -> np.ndarray:
@@ -233,14 +283,12 @@ def _bond_passes(snapshot: MarketSnapshot, h: int, tenors=None) -> list[_Pass]:
     ]
 
 
-def _grid_pass(params: NnParams, grid):
-    tenors = _tenors(grid)
-    if len(tenors) < 2:
-        raise ValidationError("grid needs at least 2 tenors")
+def _grad_penalty(params: NnParams, pen: _Penalty):
     theta, h = _theta(params), params.hidden_count
-    p = _Pass(h, np.empty(0), tenors=tenors)
-    _features(theta, p)
-    return tenors, _slopes(theta[2 * h:], params.c, p, np.diff(tenors))
+    grad = np.empty((3, h))
+    value, _ = _step(theta, theta[2 * h:], params.c,
+                     _Pass(h, np.empty(0), tenors=pen.tenors), pen, grad)
+    return value, (*grad, 0.0)
 
 
 def loss_error(params: NnParams, snapshot: MarketSnapshot) -> float:
@@ -250,17 +298,16 @@ def loss_error(params: NnParams, snapshot: MarketSnapshot) -> float:
 
 def grad_loss_error(params: NnParams, snapshot: MarketSnapshot):
     theta, h, c = _theta(params), params.hidden_count, params.c
+    v = theta[2 * h:]
     m = len(snapshot.bonds)
-    total = 0.0
-    g3 = np.zeros((3, h)); gc = 0.0
-    pg = np.empty((3, h))
+    total = gc = 0.0
+    g3 = np.zeros((3, h))
+    grad = np.empty((3, h))
     for p in _bond_passes(snapshot, h):
-        _features(theta, p)
-        phat, pc = _price_grad(theta[2 * h:], c, p, pg)
-        err = phat - p.price
-        total += err * err
-        g3 += 2.0 * err * pg
-        gc += 2.0 * err * pc
+        loss, pc = _step(theta, v, c, p, None, grad)
+        total += loss
+        g3 += grad
+        gc += pc
     return total / m, (*(g3 / m), gc / m)
 
 
@@ -270,9 +317,7 @@ def loss_smooth(params: NnParams, grid) -> float:
 
 
 def grad_loss_smooth(params: NnParams, grid):
-    _, state = _grid_pass(params, grid)
-    value, g3 = _smooth(*state)
-    return value, (*g3, 0.0)
+    return _grad_penalty(params, _Penalty(_tenors(grid), 1.0, 0.0))
 
 
 def loss_trend(params: NnParams, benchmark: BenchmarkCurve, grid) -> float:
@@ -281,9 +326,7 @@ def loss_trend(params: NnParams, benchmark: BenchmarkCurve, grid) -> float:
 
 
 def grad_loss_trend(params: NnParams, benchmark: BenchmarkCurve, grid):
-    tenors, (slopes, dsl) = _grid_pass(params, grid)
-    value, g3 = _trend(slopes, _benchmark_slopes(benchmark, tenors), len(tenors), dsl)
-    return value, (*g3, 0.0)
+    return _grad_penalty(params, _Penalty(_tenors(grid), 0.0, 1.0, benchmark))
 
 
 def total_loss(params: NnParams, snapshot: MarketSnapshot, config: TrainConfig) -> float:
@@ -293,14 +336,8 @@ def total_loss(params: NnParams, snapshot: MarketSnapshot, config: TrainConfig) 
 
 def grad_total_loss(params: NnParams, snapshot: MarketSnapshot, config: TrainConfig):
     e, ge = grad_loss_error(params, snapshot)
-    s, gs = grad_loss_smooth(params, config.grid)
-    t, gt = grad_loss_trend(params, snapshot.benchmark, config.grid)
-    value = e + config.gamma1 * s + config.gamma2 * t
-    grads = tuple(
-        np.asarray(a) + config.gamma1 * np.asarray(bb) + config.gamma2 * np.asarray(cc)
-        for a, bb, cc in zip(ge, gs, gt)
-    )
-    return value, grads
+    r, gr = _grad_penalty(params, _Penalty(_tenors(config.grid), config.gamma1, config.gamma2, snapshot.benchmark))
+    return e + r, tuple(np.asarray(a) + np.asarray(b) for a, b in zip(ge, gr))
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +357,20 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
     non-finite.
 
     The step works on one packed vector theta = [w | b | v] (c stays a
-    float), updated in place. Each bond's cashflow times, and in "per_bond"
-    mode the penalty grid after them, get a ``_Pass`` built once per
-    training, so a step is one ``tanh`` over both, two matvecs for the
-    curve, one batched matvec for the price gradient and, with the trend
-    penalty, one for the trend gradient. Every floating-point operation
-    happens in the order of the direct formulas, so the trained network is
-    the same to the last bit.
+    float), updated in place. Every step kind is one ``_step`` over a
+    ``_Pass`` built once per training: the bond's cashflow times and, in
+    "per_bond" mode, the penalty grid after them; or the grid alone for the
+    per-epoch penalty. A step is one ``tanh`` and one curve matvec over all
+    its inputs, a weight vector of d loss / d y at each of them, and one
+    matmul of the derivative table against it.
     """
     config = config or TrainConfig()
-    tenors = _tenors(config.grid)
-    dt = np.diff(tenors)
-    bench_slopes = _benchmark_slopes(snapshot.benchmark, tenors)
-    n_grid = len(tenors)
-    gamma1, gamma2 = config.gamma1, config.gamma2
-    penalised = gamma1 > 0 or gamma2 > 0
+    penalised = config.gamma1 > 0 or config.gamma2 > 0
     per_bond_reg = penalised and config.regularizer == "per_bond"
-    per_epoch_reg = penalised and not per_bond_reg
+    pen = _Penalty(_tenors(config.grid), config.gamma1, config.gamma2, snapshot.benchmark) if penalised else None
     h = config.hidden_count
-    passes = _bond_passes(snapshot, h, tenors if per_bond_reg else None)
-    grid = _Pass(h, np.empty(0), tenors=tenors) if per_epoch_reg else None
+    passes = _bond_passes(snapshot, h, pen.tenors if per_bond_reg else None)
+    grid = _Pass(h, np.empty(0), tenors=pen.tenors) if penalised and not per_bond_reg else None
 
     maturities = [b.maturity for b in snapshot.bonds]
     span = max(max(maturities) - min(maturities), 1.0)
@@ -357,22 +388,7 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
     g3 = g.reshape(3, h)
     for epoch in range(config.epochs):
         for j, p in enumerate(passes):
-            _features(theta, p)
-            phat, pc = _price_grad(v, c, p, g3)
-            err = phat - p.price
-            step_loss = err * err   # inf on overflow, where err**2 would raise
-            g *= 2.0 * err
-            gc = 2.0 * err * pc
-            if per_bond_reg:
-                slopes, dsl = _slopes(v, c, p, dt)
-                if gamma1 > 0:
-                    s_val, s_grad = _smooth(slopes, dsl)
-                    step_loss += gamma1 * s_val
-                    g3 += gamma1 * s_grad
-                if gamma2 > 0:
-                    t_val, t_grad = _trend(slopes, bench_slopes, n_grid, dsl)
-                    step_loss += gamma2 * t_val
-                    g3 += gamma2 * t_grad
+            step_loss, gc = _step(theta, v, c, p, pen, g3)
             if not math.isfinite(step_loss):
                 raise DivergenceError(
                     f"training diverged: non-finite loss at epoch {epoch}, bond {p.id}",
@@ -380,18 +396,14 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
                 )
             theta -= lr * g
             c = c - lr * gc
-        if per_epoch_reg:
-            _features(theta, grid)
-            slopes, dsl = _slopes(v, c, grid, dt)
-            s_val, s_grad = _smooth(slopes, dsl)
-            t_val, t_grad = _trend(slopes, bench_slopes, n_grid, dsl)
-            reg_loss = gamma1 * s_val + gamma2 * t_val
-            if not np.isfinite(reg_loss):
+        if grid is not None:
+            reg_loss, _ = _step(theta, v, c, grid, pen, g3)
+            if not math.isfinite(reg_loss):
                 raise DivergenceError(
                     f"training diverged: non-finite penalty after epoch {epoch}",
                     epoch=epoch, bond_index=len(passes) - 1,
                 )
-            theta3 -= lr * (gamma1 * s_grad + gamma2 * t_grad)
+            theta -= lr * g
 
     params = NnParams(w=tuple(theta3[0]), b=tuple(theta3[1]), v=tuple(theta3[2]), c=float(c))
     final = total_loss(params, snapshot, config)

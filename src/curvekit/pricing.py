@@ -185,13 +185,15 @@ def _pv_flat(times: np.ndarray, amounts: np.ndarray, rate: float) -> float:
     return float(np.add.reduce(amounts * np.exp(-times * rate)))
 
 
-def _bisect(excess, tol: float, width: float, slope, guess: float) -> float | None:
+def _bisect(excess, tol: float, width: float, slope, guess: float) -> tuple[float, float] | None:
     """Root of the decreasing function ``excess`` on ``YTM_BRACKET``, by bisection.
 
     Returns None when no root lies in the bracket (to within ``tol``).
     Otherwise halves the bracket, at most 200 times, until a midpoint has
     ``|excess| <= tol`` (that midpoint is the root) or the bracket is
-    narrower than ``width`` (its midpoint is).
+    narrower than ``width`` (its midpoint is), and returns the root with
+    ``excess`` at it: the value the last evaluation gave, or one more
+    evaluation when the width ended the loop.
 
     First, up to 16 tangent steps from ``guess`` fence the root. ``slope`` is
     the derivative of ``excess``; it is called only right after ``excess`` at
@@ -250,14 +252,15 @@ def _bisect(excess, tol: float, width: float, slope, guess: float) -> float | No
         else:
             f_mid = excess(mid)
             if abs(f_mid) <= tol:
-                return mid
+                return mid, f_mid
             if f_mid > 0:
                 lo = mid
             else:
                 hi = mid
         if hi - lo < width:
             break
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    return mid, excess(mid)
 
 
 def _flat_guess(times: np.ndarray, amounts: np.ndarray, price: float) -> float:
@@ -280,14 +283,14 @@ def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what:
     PV is strictly decreasing in the rate so the bracket test is exact.
     """
     weighted = times * amounts
-    rate = _bisect(
+    root = _bisect(
         lambda r: _pv_flat(times, amounts, r) - price,
         _PRICE_TOL_REL * price,
         1e-15,
         slope=lambda r: -float(weighted @ np.exp(-times * r)),
         guess=_flat_guess(times, amounts, price),
     )
-    if rate is None:
+    if root is None:
         lo, hi = YTM_BRACKET
         raise NoSolutionError(
             f"{what}: price {price} outside attainable range "
@@ -295,7 +298,7 @@ def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what:
             f"for rates in [{lo}, {hi}]"
         )
     # Newton polish well past the contract tolerance; dPV/dr = -sum(t cf e^(-t r))
-    resid = _pv_flat(times, amounts, rate) - price
+    rate, resid = root
     best_rate, best_resid = rate, abs(resid)
     for _ in range(8):
         if abs(resid) < best_resid:
@@ -429,12 +432,12 @@ def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
         pv = _candidate_pv(times, amounts, ts[: n + 1], ys[: n + 1])
         price = bond.market_price
         guess = float(ys[n - 1]) if n else _flat_guess(times, amounts, price)
-        y = _bisect(lambda y: pv(y) - price, _PRICE_TOL_REL * price, 1e-16, slope=pv.slope, guess=guess)
-        if y is None:
+        root = _bisect(lambda y: pv(y) - price, _PRICE_TOL_REL * price, 1e-16, slope=pv.slope, guess=guess)
+        if root is None:
             lo, hi = YTM_BRACKET
             diagnostics.append(f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {price}; skipped")
             continue
-        ys[n] = y
+        ys[n] = root[0]
         n += 1
 
     if not n:

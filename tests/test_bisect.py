@@ -133,7 +133,8 @@ class TestCertifiedBisection:
             if expected is None:
                 assert got is None, case
             else:
-                assert got is not None and got.hex() == expected.hex(), case
+                assert got is not None and got[0].hex() == expected.hex(), case
+                assert got[1] == excess(got[0]), case
             outcomes.add("none" if expected is None else "end" if min(expected - LO, HI - expected) < 1e-9 else "inside")
         assert outcomes == {"none", "end", "inside"}
 
@@ -147,7 +148,7 @@ class TestCertifiedBisection:
         excess = lambda r: root - r  # noqa: E731
         expected = ref_bisect(excess, tol, 1e-16)
         assert expected == mid
-        got = pricing._bisect(excess, tol, 1e-16, slope=lambda r: -1.0, guess=root - side * 0.95 * tol)
+        got, _ = pricing._bisect(excess, tol, 1e-16, slope=lambda r: -1.0, guess=root - side * 0.95 * tol)
         assert got.hex() == expected.hex()
 
     def test_a_slope_that_lies_cannot_move_the_result(self):
@@ -159,7 +160,7 @@ class TestCertifiedBisection:
         expected = ref_bisect(excess, _PRICE_TOL_REL * price, 1e-15).hex()
         for bad in (lambda x: -1e-300, lambda x: -1e300, lambda x: -math.inf, lambda x: float(rng.normal())):
             for guess in (math.nan, LO, 0.0, 0.5, math.nextafter(HI, LO)):
-                got = pricing._bisect(excess, _PRICE_TOL_REL * price, 1e-15, slope=bad, guess=guess)
+                got, _ = pricing._bisect(excess, _PRICE_TOL_REL * price, 1e-15, slope=bad, guess=guess)
                 assert got.hex() == expected
 
 
@@ -184,3 +185,23 @@ class TestBootstrapEvaluations:
         assert len(curve.knot_times) == 60 and not curve.diagnostics
         # plain bisection needs about 34 per knot on this day
         assert len(calls) / len(curve.knot_times) <= 8
+
+
+class TestFlatSolveEvaluations:
+    def test_readme_day_reuses_the_excess_at_the_root(self, monkeypatch):
+        # the Newton polish starts from the excess the bisection returns with
+        # the root, instead of evaluating the flat PV there again
+        snap = generate_scenario(ScenarioSpec(regime="falling", n_bonds=60, price_noise_sd=0.002, seed=7))
+        calls = []
+        pv_flat = pricing._pv_flat
+
+        def counting_pv_flat(times, amounts, rate):
+            calls.append(rate)
+            return pv_flat(times, amounts, rate)
+
+        monkeypatch.setattr(pricing, "_pv_flat", counting_pv_flat)
+        for bond in snap.bonds:
+            times, amounts = pricing.cashflow_schedule(bond)
+            pricing._solve_flat_rate(times, amounts, bond.market_price, bond.id)
+        # 8.1 per solve when the polish evaluated the root again
+        assert len(calls) / len(snap.bonds) <= 7.5

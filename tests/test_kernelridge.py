@@ -271,6 +271,12 @@ class TestYieldSurface:
     def base_model(self, alphas, anchors=(1.0, 2.0, 5.0)):
         return KrModel(anchor_times=anchors, alphas=alphas, lam=1e-2, kernel_params=KernelParams())
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+    def test_model_rejects_lambda_outside_finite_positive(self, lam):
+        # a model file or library caller cannot carry a lambda no fit produces
+        with pytest.raises(ValidationError, match="lambda must be finite and > 0"):
+            KrModel(anchor_times=(1.0,), alphas=(0.0,), lam=lam, kernel_params=KernelParams())
+
     def test_zero_alphas_zero_yield(self):
         model = self.base_model((0.0, 0.0, 0.0))
         for t in (0.1, 1.0, 10.0, 30.0):

@@ -292,6 +292,25 @@ class TestTraining:
         with pytest.raises(ValidationError):
             TrainConfig(regularizer="sometimes")
 
+    @pytest.mark.parametrize("grid,message", [
+        ((), "at least 2 tenors"),
+        ((5.0,), "at least 2 tenors"),
+        ((0.0, 1.0), "finite, strictly increasing and > 0"),
+        ((-1.0, 1.0), "finite, strictly increasing and > 0"),
+        ((1.0, math.inf), "finite, strictly increasing and > 0"),
+        ((1.0, math.nan), "finite, strictly increasing and > 0"),
+        ((1.0, 1.0), "finite, strictly increasing and > 0"),
+    ])
+    def test_config_rejects_bad_grid(self, grid, message):
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(grid=grid)
+
+    @pytest.mark.parametrize("grid", [(), (5.0,)])
+    def test_train_with_short_grid_raises_typed_error(self, grid):
+        snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=4, seed=2))
+        with pytest.raises(ValidationError, match="at least 2 tenors"):
+            train(snap, TrainConfig(epochs=1, grid=grid))
+
     @pytest.mark.parametrize("knob", ["learning_rate", "gamma1", "gamma2"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite_knobs(self, knob, value):
