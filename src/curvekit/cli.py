@@ -259,8 +259,11 @@ def cmd_fit(args) -> int:
     snapshot = _load_for_command(args.snapshot)
     if snapshot is None:
         return EXIT_IO
+    dense = np.arange(0.1, 30.0 + 1e-9, 0.1)
+    tenors = np.array(sorted({round(float(t), 10) for t in list(TenorGrid().tenors) + list(dense)}))
     try:
         curve = build_estimator(config).fit(snapshot)
+        samples = curve.yields(tenors).tolist()  # a fit counts once its curve evaluates
     except CurveKitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -268,17 +271,14 @@ def cmd_fit(args) -> int:
     stem = Path(args.snapshot).stem
     model_path = args.output or f"{stem}.{config.estimator}.model.json"
     samples_path = args.samples or f"{stem}.{config.estimator}.samples.csv"
-    grid = TenorGrid().tenors
-    dense = np.arange(0.1, 30.0 + 1e-9, 0.1)
-    tenors = sorted({round(float(t), 10) for t in list(grid) + list(dense)})
     try:
         with open(model_path, "w") as fh:
             json.dump(_model_dict(config, curve, snapshot), fh, indent=2)
             fh.write("\n")
         with open(samples_path, "w") as fh:
             fh.write("tenor,yield,benchmark_yield\n")
-            for t in tenors:
-                fh.write(f"{t!r},{curve.yield_at(t)!r},{snapshot.benchmark.yield_at(t)!r}\n")
+            for t, y, rate in zip(tenors.tolist(), samples, snapshot.benchmark.yields(tenors).tolist()):
+                fh.write(f"{t!r},{y!r},{rate!r}\n")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

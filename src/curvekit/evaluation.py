@@ -4,12 +4,17 @@ Covers yield-space accuracy (RMSE against per-bond flat yields), curve-space
 distances on a fixed tenor grid (RMSE and maximum absolute difference),
 single-bond price perturbation, random bond-drop Monte Carlo, day-over-day
 stability with hit rates, and leave-one-out accuracy by maturity bucket.
+
+A metric evaluates a curve with one ``YieldCurve.yields`` call over its grid
+or bond maturities. A protocol does so inside the guard of the fit, so a fitted
+curve that cannot be evaluated counts as a failed fit.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -47,8 +52,8 @@ class TenorGrid:
         object.__setattr__(self, "tenors", tuple(float(t) for t in self.tenors))
         if len(self.tenors) < 2:
             raise ValidationError("grid needs at least 2 tenors")
-        if self.tenors[0] <= 0 or any(b <= a for a, b in zip(self.tenors, self.tenors[1:])):
-            raise ValidationError("grid tenors must be strictly increasing and > 0")
+        if not all(0 < t < math.inf for t in self.tenors) or any(b <= a for a, b in zip(self.tenors, self.tenors[1:])):
+            raise ValidationError("grid tenors must be finite, strictly increasing and > 0")
 
     def __iter__(self):
         return iter(self.tenors)
@@ -82,7 +87,7 @@ def bucket_grid(grid, bucket: str) -> np.ndarray:
 
 
 def curve_yields(curve: YieldCurve, grid) -> np.ndarray:
-    return np.array([curve.yield_at(float(t)) for t in _tenor_array(grid)])
+    return curve.yields(_tenor_array(grid))
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,8 @@ class Estimator:
 
 def rmse_ytm(curve: YieldCurve, snapshot: MarketSnapshot) -> float:
     """RMSE between each bond's flat yield and the curve at its maturity."""
-    errs = [curve.yield_at(b.maturity) - yield_to_maturity(b) for b in snapshot.bonds]
+    maturities = np.array([b.maturity for b in snapshot.bonds])
+    errs = curve.yields(maturities) - np.array([yield_to_maturity(b) for b in snapshot.bonds])
     return float(np.sqrt(np.mean(np.square(errs))))
 
 
@@ -130,14 +136,15 @@ def _check_n_mc(n_mc: int) -> None:
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
 
 
-def _base_fit(snapshot: MarketSnapshot, estimator: Estimator) -> YieldCurve:
-    """Fit the reference curve that every replicate is compared with.
+def _base_fit(snapshot: MarketSnapshot, estimator: Estimator, grid) -> np.ndarray:
+    """Grid yields of the reference curve that every replicate is compared with.
 
-    Its failure ends the experiment, so it is raised as a compute failure even
-    when the estimator rejected the snapshot as invalid input.
+    A failure to fit or to evaluate it ends the experiment, so it is raised
+    as a compute failure even when the estimator rejected the snapshot as
+    invalid input.
     """
     try:
-        return estimator.fit(snapshot)
+        return curve_yields(estimator.fit(snapshot), grid)
     except CurveKitError as exc:
         raise FitFailureError(str(exc)) from exc
 
@@ -168,8 +175,7 @@ def perturb_price_experiment(
     bumps = list(bumps)
     if not all(bump > -1 for bump in bumps):
         raise ValidationError(f"bumps must be > -1 so the bumped price stays positive, got {bumps}")
-    base_curve = _base_fit(snapshot, estimator)
-    base = None  # its grid yields, evaluated at the first refit that needs them
+    base = _base_fit(snapshot, estimator, grid)
     rows = []
     for bump in bumps:
         bumped_bonds = tuple(
@@ -179,13 +185,10 @@ def perturb_price_experiment(
         )
         bumped = MarketSnapshot(snapshot.date, bumped_bonds, snapshot.benchmark)
         try:
-            curve = estimator.fit(bumped)
+            ys = curve_yields(estimator.fit(bumped), grid)
         except CurveKitError as exc:
             rows.append(PerturbRow(bump=float(bump), rmse_curve=None, mad=None, error=str(exc)))
             continue
-        if base is None:
-            base = curve_yields(base_curve, grid)
-        ys = curve_yields(curve, grid)
         rows.append(PerturbRow(bump=float(bump), rmse_curve=_rmse(base, ys), mad=_mad(base, ys)))
     return rows
 
@@ -228,8 +231,7 @@ def drop_bonds_experiment(
     if any(c >= n for c in drop_counts):
         raise ValidationError(f"drop counts must be < number of bonds ({n})")
     _check_n_mc(n_mc)
-    base_curve = _base_fit(snapshot, estimator)
-    base = None  # its grid yields, evaluated at the first refit that needs them
+    base = _base_fit(snapshot, estimator, grid)
     ids = [b.id for b in snapshot.bonds]
     rows = []
     for count in drop_counts:
@@ -243,13 +245,10 @@ def drop_bonds_experiment(
             kept = tuple(b for b in snapshot.bonds if b.id not in dropped)
             reduced = MarketSnapshot(snapshot.date, kept, snapshot.benchmark)
             try:
-                curve = estimator.fit(reduced)
+                ys = curve_yields(estimator.fit(reduced), grid)
             except CurveKitError as exc:
                 reps.append(DropReplication(dropped, None, None, str(exc)))
                 continue
-            if base is None:
-                base = curve_yields(base_curve, grid)
-            ys = curve_yields(curve, grid)
             reps.append(DropReplication(dropped, _rmse(base, ys), _mad(base, ys)))
         ok = [r for r in reps if r.error is None]
         rows.append(
@@ -290,39 +289,34 @@ def stability_experiment(
     snapshots = list(snapshots)
     if len(snapshots) < 2:
         raise ValidationError("stability needs at least 2 snapshots")
+    tenors = _tenor_array(grid)
+    fixed = np.array(list(FIXED_SERIES_TENORS.values()))
     curves: list[YieldCurve | None] = []
+    grid_yields: list[np.ndarray | None] = []  # a bucket's values are a slice of them
     skipped = []
     series = []
     for snap in snapshots:
         try:
             curve = estimator.fit(snap)
+            ys, at_fixed = curve.yields(tenors), curve.yields(fixed).tolist()
         except CurveKitError as exc:
-            curves.append(None)
+            curve = ys = None
             skipped.append(f"{snap.date}: {exc}")
-            continue
         curves.append(curve)
+        grid_yields.append(ys)
+        if curve is None:
+            continue
         row = {"date": snap.date}
-        for label, tenor in FIXED_SERIES_TENORS.items():
-            row[label] = curve.yield_at(tenor)
-            row[f"benchmark_{label}"] = snap.benchmark.yield_at(tenor)
+        for label, y, rate in zip(FIXED_SERIES_TENORS, at_fixed, snap.benchmark.yields(fixed).tolist()):
+            row[label], row[f"benchmark_{label}"] = y, rate
         series.append(row)
 
-    # each fitted day's grid yields, evaluated once when a pair first needs
-    # them; a bucket's values are a slice of them
-    grid_yields: dict[int, np.ndarray] = {}
-
-    def yields_of(day: int) -> np.ndarray:
-        if day not in grid_yields:
-            grid_yields[day] = curve_yields(curves[day], grid)
-        return grid_yields[day]
-
-    tenors = _tenor_array(grid)
     masks = {bucket: _bucket_mask(tenors, bucket) for bucket in BUCKET_LABELS}
     day_rmse = []
     for prev, cur in zip(range(len(snapshots) - 1), range(1, len(snapshots))):
-        if curves[prev] is None or curves[cur] is None:
+        ya, yb = grid_yields[cur], grid_yields[prev]
+        if ya is None or yb is None:
             continue
-        ya, yb = yields_of(cur), yields_of(prev)
         entry = {"date": snapshots[cur].date}
         for bucket, mask in masks.items():
             entry[bucket] = _rmse(ya[mask], yb[mask]) if mask.any() else None

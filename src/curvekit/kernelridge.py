@@ -211,13 +211,14 @@ def kr_discount(model: KrModel, t):
 
 
 def kr_yield(model: KrModel, t):
-    """Spot yield -ln(d(t))/t; raises if the fitted discount is non-positive."""
+    """Spot yield -ln(d(t))/t; raises, naming the first such t, if the fitted discount is non-positive."""
     t_arr = np.asarray(t, dtype=float)
     d = kr_discount(model, t)
     d_arr = np.asarray(d, dtype=float)
-    if np.any(d_arr <= 0):
-        bad = t_arr if d_arr.ndim == 0 else t_arr[d_arr <= 0]
-        raise InvalidDiscountError(f"fitted discount is non-positive at t = {bad}")
+    bad = t_arr[d_arr <= 0]
+    if bad.size:
+        count = f"{bad.size} of {t_arr.size} tenors, the first at " if bad.size > 1 else ""
+        raise InvalidDiscountError(f"fitted discount is non-positive at {count}t = {float(bad[0])!r}")
     out = -np.log(d_arr) / t_arr
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
@@ -228,5 +229,5 @@ class KrCurve(YieldCurve):
 
     model: KrModel
 
-    def yield_at(self, t: float) -> float:
-        return float(kr_yield(self.model, t))
+    def yields(self, ts: np.ndarray) -> np.ndarray:
+        return kr_yield(self.model, ts)

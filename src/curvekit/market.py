@@ -1,7 +1,8 @@
 """Bond market data: domain types, file I/O, and synthetic scenario generation.
 
 A snapshot is one business day of data: a list of bonds (cashflow schedule,
-face value, observed dirty price) plus a near-risk-free benchmark curve.
+face value, observed dirty price) plus a near-risk-free benchmark curve, a
+``YieldCurve`` like every fitted curve: maturities in, spot yields out.
 Snapshots round-trip through JSON and CSV, and a deterministic generator
 produces flat / rising / falling synthetic markets so every experiment can run
 without proprietary data.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,8 +91,23 @@ class Bond:
             raise ValidationError(f"bond {self.id}: market_price must be finite and > 0, got {self.market_price}")
 
 
+class YieldCurve(ABC):
+    """Evaluable spot curve, defined for any maturity in (0, 30] at least.
+
+    A curve implements ``yields``: a 1-D float array of maturities in, the
+    spot yields at them out, as a 1-D float array of the same length.
+    """
+
+    @abstractmethod
+    def yields(self, ts: np.ndarray) -> np.ndarray:
+        ...
+
+    def yield_at(self, t: float) -> float:
+        return float(self.yields(np.array([t], dtype=float))[0])
+
+
 @dataclass(frozen=True)
-class BenchmarkCurve:
+class BenchmarkCurve(YieldCurve):
     """Near-risk-free reference curve given as (tenor, rate) knots.
 
     Evaluation is linear in yield between knots and flat beyond both ends.
@@ -111,8 +128,8 @@ class BenchmarkCurve:
         if self.tenors[0] <= 0 or any(b <= a for a, b in zip(self.tenors, self.tenors[1:])):
             raise ValidationError("benchmark tenors must be strictly increasing and > 0")
 
-    def yield_at(self, t: float) -> float:
-        return float(np.interp(t, self.tenors, self.rates))
+    def yields(self, ts: np.ndarray) -> np.ndarray:
+        return np.interp(ts, self.tenors, self.rates)
 
 
 @dataclass(frozen=True)
@@ -234,10 +251,10 @@ def generate_scenario(spec: ScenarioSpec, date: str | None = None) -> MarketSnap
         times = _annual_coupon_times(float(mat))
         amount = cpn_rate * face
         cashflows = tuple(Cashflow(float(t), float(amount)) for t in times) if amount > 0 else ()
-        # Price off the interpolated benchmark plus a constant spread.
-        yields = np.array([benchmark.yield_at(float(t)) for t in times]) + spec.spread_over_benchmark
-        y_mat = benchmark.yield_at(float(mat)) + spec.spread_over_benchmark
-        pv = float(np.sum(amount * np.exp(-times * yields))) + face * math.exp(-float(mat) * y_mat)
+        # Price off the interpolated benchmark plus a constant spread; the last
+        # coupon date is the maturity.
+        yields = benchmark.yields(times) + spec.spread_over_benchmark
+        pv = float(np.sum(amount * np.exp(-times * yields))) + face * math.exp(-float(mat) * float(yields[-1]))
         price = pv * (1.0 + float(eps))
         bonds.append(
             Bond(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .evaluation import DEFAULT_TENORS
+from .evaluation import DEFAULT_TENORS, TenorGrid
 from .market import BenchmarkCurve, MarketSnapshot, sort_bonds
 from .pricing import YieldCurve, cashflow_schedule, yield_to_maturity
 
@@ -88,17 +88,13 @@ class TrainConfig:
     regularizer: str = "per_bond"
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(t) for t in self.grid))
         if not (0 < self.learning_rate < math.inf):
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if not (0 <= self.gamma1 < math.inf and 0 <= self.gamma2 < math.inf):
             raise ValidationError(f"gamma1 and gamma2 must be finite and >= 0, got {self.gamma1}, {self.gamma2}")
-        if len(self.grid) < 2:
-            raise ValidationError("grid needs at least 2 tenors")
-        if not all(0 < t < math.inf for t in self.grid) or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValidationError("grid tenors must be finite, strictly increasing and > 0")
+        object.__setattr__(self, "grid", TenorGrid(self.grid).tenors)
         if self.hidden_count < 1:
             raise ValidationError("hidden_count must be >= 1")
         if not (0 <= self.init_scale < math.inf):
@@ -110,7 +106,7 @@ class TrainConfig:
 
 
 def _tenors(grid) -> np.ndarray:
-    return np.asarray(getattr(grid, "tenors", grid), dtype=float)
+    return np.array(TenorGrid(grid).tenors)
 
 
 def nn_yield(params: NnParams, t):
@@ -127,8 +123,8 @@ class NnCurve(YieldCurve):
 
     params: NnParams
 
-    def yield_at(self, t: float) -> float:
-        return float(nn_yield(self.params, t))
+    def yields(self, ts: np.ndarray) -> np.ndarray:
+        return nn_yield(self.params, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +184,6 @@ class _Penalty:
     __slots__ = ("tenors", "dt", "gamma1", "gamma2", "n_grid", "bench_slopes", "trend_scale", "smooth_scale")
 
     def __init__(self, tenors, gamma1, gamma2, benchmark=None):
-        if len(tenors) < 2:
-            raise ValidationError("grid needs at least 2 tenors")
         self.tenors, self.dt = tenors, np.diff(tenors)
         self.gamma1, self.gamma2, self.n_grid = gamma1, gamma2, len(tenors)
         self.bench_slopes = _benchmark_slopes(benchmark, tenors) if gamma2 else None
@@ -267,8 +261,7 @@ def _step(theta, v, c, p: _Pass, pen: _Penalty | None, grad) -> tuple[float, flo
 
 
 def _benchmark_slopes(benchmark: BenchmarkCurve, tenors: np.ndarray) -> np.ndarray:
-    rates = np.array([benchmark.yield_at(float(t)) for t in tenors])
-    return np.diff(rates) / np.diff(tenors)
+    return np.diff(benchmark.yields(tenors)) / np.diff(tenors)
 
 
 def _theta(params: NnParams) -> np.ndarray:

@@ -160,8 +160,8 @@ class NssCurve(YieldCurve):
 
     params: NssParams
 
-    def yield_at(self, t: float) -> float:
-        return float(nss_yield(self.params, t))
+    def yields(self, ts: np.ndarray) -> np.ndarray:
+        return nss_yield(self.params, ts)
 
 
 def _basis(t: np.ndarray, l1: float, l2: float) -> np.ndarray:

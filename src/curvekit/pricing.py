@@ -2,7 +2,10 @@
 
 All rates are continuously compounded: the discount factor is
 ``d(t) = exp(-t * y(t))`` and a bond's present value is the sum of its
-discounted coupons plus the discounted final coupon and face value.
+discounted cashflows, face value included at maturity. Every curve evaluates
+through ``YieldCurve.yields``, one array of maturities at a time (the
+interface lives in ``market`` and is re-exported here); ``present_value`` and
+``forward_rate`` each make one such call.
 
 The bootstrap builds an exact-fit curve knot by knot, shortest maturity
 first, and serves as the baseline estimator and pricing oracle for the
@@ -40,26 +43,17 @@ from __future__ import annotations
 
 import math
 import weakref
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoSolutionError, ValidationError
-from .market import Bond, MarketSnapshot, sort_bonds
+from .market import Bond, MarketSnapshot, YieldCurve, sort_bonds
 
 # Flat-rate bracket for yield solves. Present value is strictly decreasing in
 # the rate, so a sign change on this bracket guarantees a unique solution.
 YTM_BRACKET = (-0.10, 1.00)
 _PRICE_TOL_REL = 1e-10
-
-
-class YieldCurve(ABC):
-    """Evaluable spot curve: ``yield_at(t)`` for any t in (0, 30] at least."""
-
-    @abstractmethod
-    def yield_at(self, t: float) -> float:
-        ...
 
 
 @dataclass(frozen=True)
@@ -68,19 +62,19 @@ class FlatCurve(YieldCurve):
 
     rate: float
 
-    def yield_at(self, t: float) -> float:
-        return self.rate
+    def yields(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(len(ts), self.rate, dtype=float)
 
 
 @dataclass(frozen=True)
 class OffsetCurve(YieldCurve):
-    """A base curve shifted by a constant spread. ``base`` needs ``yield_at``."""
+    """A base curve shifted by a constant spread."""
 
-    base: object
+    base: YieldCurve
     spread: float
 
-    def yield_at(self, t: float) -> float:
-        return self.base.yield_at(t) + self.spread
+    def yields(self, ts: np.ndarray) -> np.ndarray:
+        return self.base.yields(ts) + self.spread
 
 
 @dataclass(frozen=True)
@@ -102,11 +96,13 @@ class BootstrapCurve(YieldCurve):
             raise ValidationError("knot_times and knot_yields must have equal length")
         if not self.knot_times:
             raise ValidationError("bootstrap curve needs at least one knot")
+        if not all(map(math.isfinite, self.knot_times + self.knot_yields)):
+            raise ValidationError("knot_times and knot_yields must be finite")
         if any(b <= a for a, b in zip(self.knot_times, self.knot_times[1:])):
             raise ValidationError("knot_times must be strictly increasing")
 
-    def yield_at(self, t: float) -> float:
-        return float(np.interp(t, self.knot_times, self.knot_yields))
+    def yields(self, ts: np.ndarray) -> np.ndarray:
+        return np.interp(ts, self.knot_times, self.knot_yields)
 
 
 class _BondRecord:
@@ -172,13 +168,9 @@ def discount_factor(curve: YieldCurve, t: float) -> float:
 
 
 def present_value(curve: YieldCurve, bond: Bond) -> float:
-    """Sum of discounted coupons plus discounted final coupon and face value."""
-    pv = 0.0
-    for cf in bond.cashflows[:-1]:
-        pv += cf.amount * discount_factor(curve, cf.time)
-    final_coupon = bond.cashflows[-1].amount if bond.cashflows else 0.0
-    pv += (final_coupon + bond.face_value) * discount_factor(curve, bond.maturity)
-    return pv
+    """Sum of the bond's cashflows, face value included, each discounted under ``curve``."""
+    times, amounts = cashflow_schedule(bond)
+    return float(amounts @ np.exp(-times * curve.yields(times)))
 
 
 def _pv_flat(times: np.ndarray, amounts: np.ndarray, rate: float) -> float:
@@ -352,8 +344,8 @@ def forward_rate(curve: YieldCurve, t: float, h: float = 1e-4) -> float:
     """Instantaneous forward ``y(t) + t * dy/dt`` by central difference."""
     if not (t > h > 0):
         raise ValueError(f"forward_rate requires t > h > 0, got t={t}, h={h}")
-    dy = (curve.yield_at(t + h) - curve.yield_at(t - h)) / (2.0 * h)
-    return curve.yield_at(t) + t * dy
+    y_lo, y_t, y_hi = curve.yields(np.array([t - h, t, t + h])).tolist()
+    return y_t + t * ((y_hi - y_lo) / (2.0 * h))
 
 
 def _candidate_pv(times: np.ndarray, amounts: np.ndarray, knot_t: np.ndarray, knot_y: np.ndarray):

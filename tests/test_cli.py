@@ -26,6 +26,15 @@ def generate_day(workdir, name="day.json", regime="falling", bonds=12, seed=3, e
     return workdir / name
 
 
+# On this day a KR fit with these flags has a discount that turns negative
+# near 10Y, so its curve cannot be evaluated on the grid.
+def unevaluable_kr_day(workdir):
+    return generate_day(workdir, bonds=10, seed=4, extra=("--noise", "0.02", "--maturity-range", "0.1,5"))
+
+
+UNEVALUABLE_KR = ("--kr-lambda", "1e-6", "--kr-a", "0.01")
+
+
 class TestGenerate:
     def test_writes_requested_bond_count(self, workdir, capsys):
         path = generate_day(workdir, bonds=60, extra=("--maturity-range", "0.05,15"))
@@ -151,6 +160,15 @@ class TestFit:
             assert run(["fit", str(path), "--estimator", "kr", "--kr-b", "1e-8"]) == 4
         assert "kernel matrix is not finite" in capsys.readouterr().err
 
+    def test_curve_that_cannot_be_evaluated_is_a_failed_fit(self, workdir, capsys):
+        path = unevaluable_kr_day(workdir)
+        assert run(["fit", str(path), "--estimator", "kr", *UNEVALUABLE_KR]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"fit failed: fitted discount is non-positive at \d+ of 309 tenors, "
+                            r"the first at t = [0-9.]+\n", err), err
+        assert not (workdir / "day.kr.model.json").exists()
+        assert not (workdir / "day.kr.samples.csv").exists()
+
     @pytest.mark.parametrize("command", [["fit", "absent.json", "--estimator", "nss"],
                                          ["experiment", "drop", "absent.json", "--estimators", "kr"]])
     def test_negative_seed_exits_two_before_reading(self, workdir, capsys, command):
@@ -244,6 +262,23 @@ class TestExperiments:
         assert run(["experiment", kind, str(path), "--estimators", "nss", *flags]) == 4
         assert "error: base fit failed for nss: >= 6 bonds" in capsys.readouterr().err
         assert not list(workdir.glob("report.*"))
+
+    @pytest.mark.parametrize("argv", [["perturb"], ["drop", "--counts", "1", "--mc", "1"]])
+    def test_unevaluable_base_curve_exits_four(self, workdir, capsys, argv):
+        path = unevaluable_kr_day(workdir)
+        kind, *flags = argv
+        assert run(["experiment", kind, str(path), "--estimators", "kr", *UNEVALUABLE_KR, *flags]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: base fit failed for kr: fitted discount is non-positive at ")
+        assert not list(workdir.glob("report.*"))
+
+    def test_unevaluable_stability_days_are_skipped(self, workdir, capsys):
+        path = unevaluable_kr_day(workdir)
+        assert run(["experiment", "stability", str(path), str(path), "--estimators", "kr", *UNEVALUABLE_KR]) == 4
+        assert "2 fit(s) failed" in capsys.readouterr().err
+        report = json.loads((workdir / "report.stability.kr.json").read_text())
+        skipped = report["details"][2]["skipped"]
+        assert len(skipped) == 2 and all("fitted discount is non-positive" in s for s in skipped)
 
     @pytest.mark.parametrize("argv", [
         ["drop", "--counts", "-1"],

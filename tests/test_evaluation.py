@@ -11,6 +11,7 @@ from curvekit import (
     EvaluationReport,
     FitFailureError,
     FlatCurve,
+    InvalidDiscountError,
     KrCurve,
     MarketSnapshot,
     NssCurve,
@@ -49,8 +50,20 @@ class InterpCurve(YieldCurve):
         self.times = np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)
 
-    def yield_at(self, t):
-        return float(np.interp(t, self.times, self.values))
+    def yields(self, ts):
+        return np.interp(ts, self.times, self.values)
+
+
+class UnevaluableCurve(YieldCurve):
+    """A fitted curve that cannot be evaluated, as a KR curve whose discount turns negative."""
+
+    def yields(self, ts):
+        raise InvalidDiscountError("fitted discount is non-positive")
+
+
+def unevaluable_except(snapshots):
+    """An estimator: the bootstrap on each of ``snapshots``, an unevaluable curve on any other."""
+    return Estimator("partial", lambda s: bootstrap(s) if any(s is x for x in snapshots) else UnevaluableCurve())
 
 
 def random_curve(rng):
@@ -121,6 +134,55 @@ class TestMetrics:
         for _ in range(20):
             a, b = random_curve(rng), random_curve(rng)
             assert mad_curve(a, b, GRID) >= rmse_curve(a, b, GRID) - 1e-15
+
+
+class TestTenorGrid:
+    @pytest.mark.parametrize("tenors, message", [
+        ((1.0,), "grid needs at least 2 tenors"),
+        *[(tenors, "grid tenors must be finite, strictly increasing and > 0") for tenors in (
+            (1.0, math.nan, 5.0), (1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+            (0.0, 1.0), (2.0, 1.0), (1.0, 1.0),
+        )],
+    ])
+    def test_rejects_bad_grids(self, tenors, message):
+        with pytest.raises(ValidationError, match=message):
+            TenorGrid(tenors)
+
+
+class TestUnevaluableCurve:
+    """A fit counts only once its curve evaluates on the grid."""
+
+    def test_perturb_records_the_replicate_as_failed(self, zc_snapshot):
+        rows = perturb_price_experiment(zc_snapshot, unevaluable_except([zc_snapshot]),
+                                        zc_snapshot.bonds[-1].id, [0.03, 0.05])
+        assert [(r.rmse_curve, r.mad, r.error) for r in rows] == [(None, None, "fitted discount is non-positive")] * 2
+
+    def test_drop_records_the_replicate_as_failed(self, zc_snapshot):
+        rows = drop_bonds_experiment(zc_snapshot, unevaluable_except([zc_snapshot]), [1], n_mc=3, seed=0)
+        assert rows[0].n_failed == 3
+        assert rows[0].rmse_curve is None and rows[0].mad is None
+        assert all(rep.error == "fitted discount is non-positive" for rep in rows[0].replications)
+
+    @pytest.mark.parametrize("experiment", [
+        lambda snap, est: perturb_price_experiment(snap, est, snap.bonds[-1].id, [0.03]),
+        lambda snap, est: drop_bonds_experiment(snap, est, [1], n_mc=1, seed=0),
+    ])
+    def test_unevaluable_base_curve_is_a_failed_base_fit(self, zc_snapshot, experiment):
+        with pytest.raises(FitFailureError, match="non-positive") as info:
+            experiment(zc_snapshot, unevaluable_except([]))
+        assert isinstance(info.value.__cause__, InvalidDiscountError)
+
+    def test_stability_skips_the_day(self):
+        days = [
+            generate_scenario(ScenarioSpec(regime="falling", n_bonds=10, seed=70, base_rate=0.03 + 0.0004 * i),
+                              date=f"day-{i}")
+            for i in range(4)
+        ]
+        result = stability_experiment(days, unevaluable_except([days[0], days[2], days[3]]))
+        assert result.skipped == ("day-1: fitted discount is non-positive",)
+        assert result.curves[1] is None
+        assert [d["date"] for d in result.day_rmse] == ["day-3"]
+        assert [row["date"] for row in result.fixed_tenor_series] == ["day-0", "day-2", "day-3"]
 
 
 class TestBuckets:

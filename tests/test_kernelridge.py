@@ -285,8 +285,18 @@ class TestYieldSurface:
 
     def test_negative_discount_raises(self):
         model = self.base_model((-5.0, 0.0, 0.0))
-        with pytest.raises(InvalidDiscountError):
+        with pytest.raises(InvalidDiscountError, match=r"^fitted discount is non-positive at t = 5\.0$"):
             kr_yield(model, 5.0)
+
+    def test_negative_discount_on_an_array_names_the_first_tenor_and_the_count(self):
+        model = self.base_model((-5.0, 0.0, 0.0))
+        ts = np.linspace(0.1, 30.0, 300)
+        bad = ts[kr_discount(model, ts) <= 0]
+        assert 1 < len(bad) < len(ts)
+        message = f"fitted discount is non-positive at {len(bad)} of 300 tenors, the first at t = {float(bad[0])!r}"
+        with pytest.raises(InvalidDiscountError) as info:
+            kr_yield(model, ts)
+        assert str(info.value) == message
 
     def test_domain_error(self):
         model = self.base_model((0.0, 0.0, 0.0))

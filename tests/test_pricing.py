@@ -8,17 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvekit import (
+    DEFAULT_TENORS,
     BenchmarkCurve,
     Bond,
+    BootstrapCurve,
     Cashflow,
     FlatCurve,
+    KrCurve,
     MarketSnapshot,
+    NnCurve,
+    NnParams,
     NoSolutionError,
     NssParams,
     OffsetCurve,
     ScenarioSpec,
+    ValidationError,
     bootstrap,
     discount_factor,
+    fit_kr,
     forward_rate,
     generate_scenario,
     macaulay_duration,
@@ -36,8 +43,8 @@ class LinearCurve(YieldCurve):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def yield_at(self, t):
-        return self.a + self.b * t
+    def yields(self, ts):
+        return self.a + self.b * ts
 
 
 def zc_bond(maturity, price, bond_id="Z1", face=100.0):
@@ -219,6 +226,16 @@ class TestBootstrap:
         assert list(curve.knot_times) == [1.0]
         assert any("ABSURD" in d for d in curve.diagnostics)
 
+    @pytest.mark.parametrize("times, yields", [
+        ((1.0, math.nan), (0.01, 0.02)),
+        ((1.0, math.inf), (0.01, 0.02)),
+        ((1.0, 2.0), (0.01, math.nan)),
+        ((1.0, 2.0), (-math.inf, 0.02)),
+    ])
+    def test_curve_rejects_non_finite_knots(self, times, yields):
+        with pytest.raises(ValidationError, match="must be finite"):
+            BootstrapCurve(times, yields)
+
     def test_flat_extrapolation_beyond_knots(self, zc_snapshot):
         curve = bootstrap(zc_snapshot)
         assert curve.yield_at(1e-6) == pytest.approx(curve.knot_yields[0], abs=1e-15)
@@ -232,3 +249,140 @@ class TestBootstrap:
         # bootstrapped knots sit near the generating curve at their maturities
         for t, y in zip(curve.knot_times, curve.knot_yields):
             assert y == pytest.approx(gen.yield_at(t), abs=5e-4)
+
+
+# The maturities ``curvekit fit`` samples a curve at: the standard grid and
+# every 0.1Y out to 30Y, 309 tenors.
+SAMPLE_TENORS = np.array(sorted(
+    {round(float(t), 10) for t in list(DEFAULT_TENORS) + list(np.arange(0.1, 30.0 + 1e-9, 0.1))}
+))
+
+EQUIVALENCE_DAYS = [
+    generate_scenario(ScenarioSpec(regime="falling", n_bonds=60, price_noise_sd=0.002, seed=7)),
+    generate_scenario(ScenarioSpec(regime="rising", n_bonds=30, seed=5)),
+    generate_scenario(ScenarioSpec(regime="flat", n_bonds=20, price_noise_sd=0.002, seed=11)),
+]
+
+EQUIVALENCE_NSS = [
+    NssParams(beta0=0.03, beta1=-0.02, beta2=0.03, beta3=0.02, lambda1=1.5, lambda2=6.0),
+    NssParams(beta0=0.04, beta1=0.01, beta2=-0.03, beta3=0.05, lambda1=0.05, lambda2=29.0),
+    NssParams(beta0=0.035, beta1=-0.01, beta2=0.02, beta3=-0.04, lambda1=0.4, lambda2=30.0),
+    NssParams(beta0=0.02, beta1=0.015, beta2=0.0, beta3=0.01, lambda1=28.0, lambda2=0.3),
+]
+
+
+def per_point_nss(p, t):
+    """``nss_yield(p, t)`` for one maturity, as the scalar path computed it."""
+    neg_t = np.array([-t])
+
+    def terms(lam):
+        n = neg_t / lam
+        if t / lam >= 1e-4:
+            h = np.expm1(n) / n
+        else:
+            x = -n
+            h = 1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0
+        return h, h - np.exp(n)
+
+    h1, s1 = terms(p.lambda1)
+    _, s2 = terms(p.lambda2)
+    return float((p.beta0 + p.beta1 * h1 + p.beta2 * s1 + p.beta3 * s2)[0])
+
+
+def per_point_kr(model, t):
+    """``kr_yield(model, t)`` for one maturity: a kernel row dotted with the weights."""
+    anchors, alphas = np.array(model.anchor_times), np.array(model.alphas)
+    a, b = model.kernel_params.a, model.kernel_params.b
+    lo = np.minimum(t, anchors)
+    if b == 0:
+        row = lo / a
+    else:
+        m = np.sqrt(a / b)
+        row = (lo - np.exp(-m * np.maximum(t, anchors)) * np.sinh(m * lo) / m) / a
+    return float(-np.log(1.0 + row @ alphas) / t)
+
+
+def per_point_nn(p, t):
+    """``nn_yield(p, t)`` for one maturity."""
+    w, b, v = np.array(p.w), np.array(p.b), np.array(p.v)
+    return float(v @ np.tanh(w * t + b) + p.c)
+
+
+def per_point_pv(curve, bond):
+    """Present value as a sum over the coupons, final coupon and face value discounted together."""
+    pv = 0.0
+    for cf in bond.cashflows[:-1]:
+        pv += cf.amount * math.exp(-cf.time * curve.yield_at(cf.time))
+    final_coupon = bond.cashflows[-1].amount if bond.cashflows else 0.0
+    return pv + (final_coupon + bond.face_value) * math.exp(-bond.maturity * curve.yield_at(bond.maturity))
+
+
+def max_rel(got, expected):
+    expected = np.asarray(expected)
+    return float(np.max(np.abs(got - expected) / np.abs(expected)))
+
+
+class TestArrayEvaluation:
+    """``yields(ts)`` against the per-point formulas it replaced, at the fit sample tenors.
+
+    Interpolated and closed-form curves agree bit for bit; KR and NN sum a
+    matrix-vector product where the per-point path took one dot product per
+    tenor, so they agree to rounding.
+    """
+
+    def test_flat_and_offset(self):
+        flat = FlatCurve(0.031)
+        assert flat.yields(SAMPLE_TENORS).tolist() == [0.031] * len(SAMPLE_TENORS)
+        for snap in EQUIVALENCE_DAYS:
+            bench = snap.benchmark
+            expected = [float(np.interp(t, bench.tenors, bench.rates)) + 0.004 for t in SAMPLE_TENORS.tolist()]
+            assert OffsetCurve(bench, 0.004).yields(SAMPLE_TENORS).tolist() == expected
+
+    @pytest.mark.parametrize("day", range(len(EQUIVALENCE_DAYS)))
+    def test_bootstrap_and_benchmark(self, day):
+        snap = EQUIVALENCE_DAYS[day]
+        curve, bench = bootstrap(snap), snap.benchmark
+        ts = SAMPLE_TENORS.tolist()
+        assert curve.yields(SAMPLE_TENORS).tolist() == [
+            float(np.interp(t, curve.knot_times, curve.knot_yields)) for t in ts
+        ]
+        assert bench.yields(SAMPLE_TENORS).tolist() == [float(np.interp(t, bench.tenors, bench.rates)) for t in ts]
+
+    @pytest.mark.parametrize("params", EQUIVALENCE_NSS)
+    def test_nss(self, params):
+        got = NssCurve(params).yields(SAMPLE_TENORS).tolist()
+        assert got == [per_point_nss(params, t) for t in SAMPLE_TENORS.tolist()]
+
+    @pytest.mark.parametrize("day", range(len(EQUIVALENCE_DAYS)))
+    def test_kr(self, day):
+        model = fit_kr(EQUIVALENCE_DAYS[day], 1e-2)
+        got = KrCurve(model).yields(SAMPLE_TENORS)
+        assert max_rel(got, [per_point_kr(model, t) for t in SAMPLE_TENORS.tolist()]) <= 1e-14
+
+    @pytest.mark.parametrize("hidden", [1, 3, 5, 8])
+    def test_nn(self, hidden):
+        rng = np.random.default_rng(hidden)
+        params = NnParams(w=rng.normal(0.0, 0.3, hidden), b=rng.normal(0.0, 0.5, hidden),
+                          v=rng.normal(0.0, 0.01, hidden), c=0.03)
+        got = NnCurve(params).yields(SAMPLE_TENORS)
+        assert max_rel(got, [per_point_nn(params, t) for t in SAMPLE_TENORS.tolist()]) <= 1e-14
+
+    def test_yield_at_is_one_point_of_yields(self):
+        curves = [bootstrap(EQUIVALENCE_DAYS[0]), NssCurve(EQUIVALENCE_NSS[1]), KrCurve(fit_kr(EQUIVALENCE_DAYS[1]))]
+        for curve in curves:
+            for t in (1 / 365, 0.5, 7.3, 30.0):
+                assert curve.yield_at(t) == curve.yields(np.array([t]))[0]
+
+    def test_forward_rate_is_one_three_point_call(self):
+        curve = NssCurve(EQUIVALENCE_NSS[0])
+        for t in (0.5, 2.0, 12.0):
+            expected = curve.yield_at(t) + t * ((curve.yield_at(t + 1e-4) - curve.yield_at(t - 1e-4)) / 2e-4)
+            assert forward_rate(curve, t) == expected
+
+    @pytest.mark.parametrize("day", range(len(EQUIVALENCE_DAYS)))
+    def test_present_value(self, day):
+        snap = EQUIVALENCE_DAYS[day]
+        curves = [bootstrap(snap), NssCurve(EQUIVALENCE_NSS[0]), KrCurve(fit_kr(snap))]
+        for curve in curves:
+            got = [present_value(curve, b) for b in snap.bonds]
+            assert max_rel(np.array(got), [per_point_pv(curve, b) for b in snap.bonds]) <= 1e-14
