@@ -264,6 +264,7 @@ def cmd_fit(args) -> int:
     try:
         curve = build_estimator(config).fit(snapshot)
         samples = curve.yields(tenors).tolist()  # a fit counts once its curve evaluates
+        score = rmse_ytm(curve, snapshot)  # and once its score can be taken
     except CurveKitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -282,7 +283,6 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    score = rmse_ytm(curve, snapshot)
     print(f"fit {config.estimator} on {args.snapshot}: RMSE_ytm = {score:.6e}")
     print(f"wrote {model_path} and {samples_path}")
     return EXIT_OK
@@ -359,7 +359,10 @@ def _stability(args, snapshots, estimator: Estimator) -> _Outcome:
         {"fixed_tenor_series": list(result.fixed_tenor_series)},
         {"skipped": list(result.skipped)},
     ]
-    rates = ", ".join(f"{bucket}: {rate:.0%}" for bucket, rate in result.hit_rate.items() if rate is not None)
+    rates = ", ".join(
+        f"{bucket}: {rate:.0%}" if rate is not None else f"{bucket}: n/a"
+        for bucket, rate in result.hit_rate.items()
+    )
     summary = (f"stability {estimator.name} over {len(snapshots)} days, "
                f"hit rate @ {args.threshold * 1e4:.0f} bp: {rates}")
     provenance = {"threshold": args.threshold, "days": len(snapshots)}

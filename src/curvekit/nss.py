@@ -12,15 +12,22 @@ with h(x) = (1 - exp(-x))/x. The plain Nelson-Siegel curve is the b3 = 0
 special case. Fitting minimizes duration-weighted squared price errors with a
 multi-start simplex search; the decay scales live in log space inside a
 [0.05, 30] year box.
+
+The starts run in lockstep. Each start's Nelder-Mead runs are generators
+(``_nelder_mead``) that replay scipy's algorithm step for step and ask for
+the points they need; ``minimize`` gathers every start's pending points each
+round and prices those inside the box in one batched kernel call
+(``_price_errors``). The starts never interact, so every run, and hence the
+fit, is bit-identical to running scipy's Nelder-Mead on each start in turn.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import FitFailureError, ValidationError
 from .market import MarketSnapshot
@@ -176,19 +183,23 @@ def _warm_start_betas(maturities: np.ndarray, ytms: np.ndarray, l1: float, l2: f
     return betas
 
 
-def _price_error(bonds) -> Callable[..., float]:
-    """Build ``error(b0, b1, b2, b3, l1, l2)``: the duration-weighted squared
-    price error of a Svensson curve on ``bonds``.
+def _price_errors(bonds) -> Callable[[np.ndarray], np.ndarray]:
+    """Build ``errors(rows)``: the duration-weighted squared price error on
+    ``bonds`` of each Svensson curve in ``rows``, a (K, 6) array of
+    ``(b0, b1, b2, b3, l1, l2)``.
 
     The snapshot's arrays (negated anchor times, cashflow matrix, prices,
     weights) are laid out once here, so each call runs only the ufuncs of the
-    formula itself. Operation order is part of the behaviour: every
-    floating-point step matches the direct formula
-    ``sum(w * (p - C @ exp(-t * y(t)))**2)``, so each value is bit-identical
-    to it. That matters because Nelder-Mead runs that stop at the iteration
-    cap amplify a last-bit difference into a different fitted curve. The
-    anchor times come sorted, so ``t[0]`` is the smallest and alone decides
-    whether the series branch of ``_decay_ratio`` is needed.
+    formula itself, once for the whole batch. Operation order is part of the
+    behaviour: every row's value is bit-identical to the direct formula
+    ``sum(w * (p - C @ exp(-t * y(t)))**2)`` on that row alone, because
+    Nelder-Mead runs that stop at the iteration cap amplify a last-bit
+    difference into a different fitted curve. Hence ``np.matmul(C, D[:, :, None])``,
+    one matrix-vector product per row as ``C @ d``; ``C @ D.T`` is one matrix
+    product, whose sums round differently. The anchor times come sorted, so
+    ``t[0]`` and the smallest decay scale alone decide whether the series
+    branch of ``_decay_ratio`` is needed; that branch gives every other entry
+    the value of the plain one.
     """
     weights = duration_price_weights(bonds)
     anchor_times, C = cashflow_matrix(bonds)
@@ -196,32 +207,200 @@ def _price_error(bonds) -> Callable[..., float]:
     neg_t = -anchor_times
     t_min = float(anchor_times[0])
 
-    def error(b0, b1, b2, b3, l1, l2) -> float:
-        yields = _nss_yields(b0, b1, b2, b3, l1, l2, neg_t, t_min)
-        r = prices - C @ np.exp(neg_t * yields)
-        return float((weights * (r * r)).sum())
+    def errors(rows: np.ndarray) -> np.ndarray:
+        b = rows[:, :4, None]
+        lam = rows[:, 4:, None]
+        n = neg_t / lam
+        h = np.expm1(n) / n if t_min / lam.min() >= _SERIES_BELOW else _decay_ratio(-n)
+        s = h - np.exp(n)
+        yields = b[:, 0] + b[:, 1] * h[:, 0] + b[:, 2] * s[:, 0] + b[:, 3] * s[:, 1]
+        r = prices - np.matmul(C, np.exp(neg_t * yields)[:, :, None])[:, :, 0]
+        return (weights * (r * r)).sum(axis=1)
 
-    return error
-
-
-def _simplex_objective(bonds) -> Callable[[np.ndarray], float]:
-    """Price error over ``x = (b0, b1, b2, b3, log l1, log l2)``, with a flat
-    ``_WALL`` value outside the decay box and at b0 <= -0.10."""
-    error = _price_error(bonds)
-
-    def objective(x: np.ndarray) -> float:
-        b0, b1, b2, b3, ll1, ll2 = x.tolist()
-        if not (_LOG_LO <= ll1 <= _LOG_HI and _LOG_LO <= ll2 <= _LOG_HI) or b0 <= -0.10:
-            return _WALL
-        return error(b0, b1, b2, b3, np.exp(ll1), np.exp(ll2))
-
-    return objective
+    return errors
 
 
 def nss_objective(snapshot: MarketSnapshot, params: NssParams) -> float:
     """Duration-weighted squared price error of ``params`` on ``snapshot``."""
-    error = _price_error(list(snapshot.bonds))
-    return error(params.beta0, params.beta1, params.beta2, params.beta3, params.lambda1, params.lambda2)
+    row = [params.beta0, params.beta1, params.beta2, params.beta3, params.lambda1, params.lambda2]
+    return float(_price_errors(list(snapshot.bonds))(np.array([row]))[0])
+
+
+@dataclass(frozen=True)
+class NmRun:
+    """One Nelder-Mead run: its best vertex and value, objective evaluations,
+    iterations, and whether it converged before the iteration cap."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+
+
+def _by_value(sim: list, fsim: list) -> tuple[list, list]:
+    """Vertices and values in the order of ``np.argsort(fsim)``, as scipy sorts them."""
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
+    """Nelder-Mead from ``x0`` as a generator: it yields the list of points it
+    needs evaluated and is sent their values, and returns an ``NmRun``.
+
+    It replays ``scipy.optimize.minimize(method="Nelder-Mead")`` with
+    ``maxiter`` and no ``maxfev`` (coefficients rho = 1, chi = 2,
+    psi = sigma = 1/2, the same 5% start simplex and stopping test) step for
+    step on Python floats, which round exactly as numpy's float64 ufuncs do.
+    Every expression keeps scipy's operation order: the centroid is summed
+    row by row, then divided by N. Vertices are reordered by ``np.argsort``,
+    twice after the start simplex and once per iteration as scipy does: its
+    default sort is not stable, and ties (such as two vertices on the
+    ``_WALL``) decide which vertex moves.
+    """
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = yield sim
+    nfev = n + 1
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        best = sim[0]
+        # scipy's test is max|sim[1:] - sim[0]| <= xatol and max|fsim[0] - fsim[1:]|
+        # <= fatol; the worst vertex's value gap, checked first, mostly settles it
+        if (
+            abs(fsim[0] - fsim[-1]) <= fatol
+            and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])
+            and all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best))
+        ):
+            break
+        centre = sim[0]
+        for row in sim[1:-1]:
+            centre = list(map(add, centre, row))
+        xbar = [c / n for c in centre]
+        worst = sim[-1]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        (fxr,) = yield [xr]
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+            (fxe,) = yield [xe]
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+            (fxc,) = yield [xc]
+            nfev += 1
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+            (fxcc,) = yield [xcc]
+            nfev += 1
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            pts = [[b + 0.5 * (v - b) for v, b in zip(row, best)] for row in sim[1:]]
+            sim[1:] = pts
+            fsim[1:] = yield pts
+            nfev += n
+        iterations += 1
+        sim, fsim = _by_value(sim, fsim)
+    # np.min, as scipy reports it: NaN if any vertex value is NaN
+    fun = fsim[0] if all(f == f for f in fsim) else float("nan")
+    return NmRun(np.array(sim[0]), fun, nfev, iterations, iterations < maxiter)
+
+
+def _start_and_polish(x0, max_iter: int):
+    """One start's two Nelder-Mead runs; the polish restarts from the first
+    run's best vertex with tighter tolerances."""
+    first = yield from _nelder_mead(x0, max_iter, 1e-10, 1e-14)
+    polish = yield from _nelder_mead(first.x, max_iter, 1e-12, 1e-16)
+    return first, polish
+
+
+@dataclass(frozen=True)
+class LockstepResult:
+    """Each start's (first, polish) runs, in start order; ``nfev`` totals
+    their objective evaluations, and ``success`` says no run was capped."""
+
+    runs: list[tuple[NmRun, NmRun]]
+    nfev: int
+    success: bool
+
+
+def _on_wall(x) -> bool:
+    """Whether the simplex objective is the flat ``_WALL`` at ``x``: a log
+    decay scale outside the box, or b0 <= -0.10 (NaN counts as outside)."""
+    return not (_LOG_LO <= x[4] <= _LOG_HI and _LOG_LO <= x[5] <= _LOG_HI) or x[0] <= -0.10
+
+
+def minimize(bonds, X0, max_iter: int) -> LockstepResult:
+    """Run every start of ``X0`` (rows of ``(b0, b1, b2, b3, log l1, log l2)``)
+    through its first and polish Nelder-Mead runs, in lockstep.
+
+    The objective is the price error of ``_price_errors(bonds)``, with a flat
+    ``_WALL`` value outside the decay box and at b0 <= -0.10. Each round
+    collects the points every unfinished start asks for, applies the wall test
+    to each, and prices all points inside the box in one batched call. The
+    starts never interact, so each run is the run scipy's Nelder-Mead makes
+    from the same point on the same objective, bit for bit.
+    """
+    errors = _price_errors(bonds)
+    chains = [_start_and_polish(x0, max_iter) for x0 in X0]
+    asks = {i: next(chain) for i, chain in enumerate(chains)}
+    runs: list = [None] * len(chains)
+    while asks:
+        rows, slots, answers = [], [], []
+        for i, points in asks.items():
+            vals = [_WALL] * len(points)
+            answers.append((i, vals))
+            for k, p in enumerate(points):
+                if _on_wall(p):
+                    continue
+                rows.append(p)
+                slots.append((vals, k))
+        if rows:
+            batch = np.array(rows)
+            batch[:, 4:] = np.exp(batch[:, 4:])
+            for (vals, k), e in zip(slots, errors(batch).tolist()):
+                vals[k] = e
+        for i, vals in answers:
+            try:
+                asks[i] = chains[i].send(vals)
+            except StopIteration as done:
+                runs[i] = done.value
+                del asks[i]
+    nfev = sum(first.nfev + polish.nfev for first, polish in runs)
+    success = all(first.success and polish.success for first, polish in runs)
+    return LockstepResult(runs, nfev, success)
+
+
+def _start_points(bonds, config: NssFitConfig) -> list[np.ndarray]:
+    """The simplex starts ``(b0, b1, b2, b3, log l1, log l2)``: the base decay
+    pairs, then pairs drawn from the seeded RNG, each with warm-start betas."""
+    maturities = np.array([b.maturity for b in bonds])
+    ytms = np.array([yield_to_maturity(b) for b in bonds])
+    rng = np.random.default_rng(config.seed)
+    lambda_pairs = list(_BASE_STARTS[: config.starts])
+    while len(lambda_pairs) < config.starts:
+        lambda_pairs.append(tuple(np.exp(rng.uniform(_LOG_LO, _LOG_HI, size=2))))
+    return [
+        np.array([*_warm_start_betas(maturities, ytms, l1, l2), np.log(l1), np.log(l2)])
+        for l1, l2 in lambda_pairs
+    ]
 
 
 def fit_nss(snapshot: MarketSnapshot, config: NssFitConfig | None = None) -> NssParams:
@@ -230,39 +409,21 @@ def fit_nss(snapshot: MarketSnapshot, config: NssFitConfig | None = None) -> Nss
     Requires at least 6 bonds (one per parameter). Each start seeds the four
     loadings with a least-squares fit of the yield basis to the bonds' flat
     yields at the given decay pair, then runs Nelder-Mead over
-    (betas, log l1, log l2) with a polish restart. Deterministic for a fixed
-    config; the best objective wins, ties going to the earlier start. Raises
-    ``FitFailureError`` when every start hits the iteration cap or ends on
-    the penalty wall.
+    (betas, log l1, log l2) with a polish restart. The starts run in lockstep
+    (see ``minimize``), so each round prices all their pending points in one
+    batched call. Deterministic for a fixed config; the best objective wins,
+    ties going to the earlier start. Raises ``FitFailureError`` when every
+    start hits the iteration cap or ends on the penalty wall.
     """
     config = config or NssFitConfig()
     bonds = list(snapshot.bonds)
     if len(bonds) < 6:
         raise ValidationError(f">= 6 bonds required to fit 6 parameters, got {len(bonds)}")
 
-    objective = _simplex_objective(bonds)
-    maturities = np.array([b.maturity for b in bonds])
-    ytms = np.array([yield_to_maturity(b) for b in bonds])
-
-    rng = np.random.default_rng(config.seed)
-    lambda_pairs = list(_BASE_STARTS[: config.starts])
-    while len(lambda_pairs) < config.starts:
-        lambda_pairs.append(tuple(np.exp(rng.uniform(_LOG_LO, _LOG_HI, size=2))))
-
     best_x = None
     best_fun = np.inf
     any_converged = False
-    for l1, l2 in lambda_pairs:
-        betas = _warm_start_betas(maturities, ytms, l1, l2)
-        x0 = np.array([*betas, np.log(l1), np.log(l2)])
-        first = minimize(
-            objective, x0, method="Nelder-Mead",
-            options=dict(maxiter=config.max_iter, xatol=1e-10, fatol=1e-14),
-        )
-        res = minimize(
-            objective, first.x, method="Nelder-Mead",
-            options=dict(maxiter=config.max_iter, xatol=1e-12, fatol=1e-16),
-        )
+    for first, res in minimize(bonds, _start_points(bonds, config), config.max_iter).runs:
         any_converged = any_converged or first.success or res.success
         if res.fun < best_fun:
             best_fun = float(res.fun)

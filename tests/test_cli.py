@@ -169,6 +169,19 @@ class TestFit:
         assert not (workdir / "day.kr.model.json").exists()
         assert not (workdir / "day.kr.samples.csv").exists()
 
+    def test_bond_without_a_flat_yield_is_a_failed_fit(self, workdir, capsys):
+        # the bootstrap skips the unpriceable bond, but the fit's score needs its flat yield
+        path = generate_day(workdir, bonds=10, seed=3)
+        data = json.loads(path.read_text())
+        bond = next(b for b in data["bonds"] if b["id"] == "B004")
+        bond["market_price"] *= 3
+        path.write_text(json.dumps(data))
+        assert run(["fit", str(path), "--estimator", "bootstrap"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("fit failed: bond B004: price ") and "outside attainable range" in err, err
+        assert not (workdir / "day.bootstrap.model.json").exists()
+        assert not (workdir / "day.bootstrap.samples.csv").exists()
+
     @pytest.mark.parametrize("command", [["fit", "absent.json", "--estimator", "nss"],
                                          ["experiment", "drop", "absent.json", "--estimators", "kr"]])
     def test_negative_seed_exits_two_before_reading(self, workdir, capsys, command):
@@ -275,7 +288,10 @@ class TestExperiments:
     def test_unevaluable_stability_days_are_skipped(self, workdir, capsys):
         path = unevaluable_kr_day(workdir)
         assert run(["experiment", "stability", str(path), str(path), "--estimators", "kr", *UNEVALUABLE_KR]) == 4
-        assert "2 fit(s) failed" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "2 fit(s) failed" in err
+        # no day pair was fitted, so every bucket's hit rate is n/a
+        assert "hit rate @ 10 bp: Full: n/a, <2Y: n/a, 2Y-10Y: n/a, >10Y: n/a\n" in out, out
         report = json.loads((workdir / "report.stability.kr.json").read_text())
         skipped = report["details"][2]["skipped"]
         assert len(skipped) == 2 and all("fitted discount is non-positive" in s for s in skipped)

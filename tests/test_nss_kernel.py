@@ -1,13 +1,15 @@
-"""Bit-identity of the NSS price-error kernel.
+"""Bit-identity of the NSS price-error kernel and of the lockstep simplex search.
 
 The simplex fitter's trajectory depends on the last bit of every objective
 value (runs that stop at the iteration cap amplify it), so the kernel must
 reproduce the direct formula exactly, not just closely. The reference below is
-that direct formula, kept verbatim as the oracle.
+that direct formula, kept verbatim as the oracle. The lockstep search must
+make, for every start, the runs scipy's Nelder-Mead makes on that reference.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from curvekit import (
     Bond,
@@ -21,7 +23,15 @@ from curvekit import (
     nss_yield,
 )
 from curvekit import nss
-from curvekit.nss import LAMBDA_BOX, _decay_ratio, _simplex_objective, nss_objective
+from curvekit.nss import (
+    LAMBDA_BOX,
+    _WALL,
+    _decay_ratio,
+    _on_wall,
+    _price_errors,
+    _start_points,
+    nss_objective,
+)
 from curvekit.pricing import cashflow_matrix, duration_price_weights
 
 DESK_DAY = ScenarioSpec(regime="falling", n_bonds=30, price_noise_sd=0.002, seed=99)
@@ -97,6 +107,10 @@ def day_with_short_cashflow() -> MarketSnapshot:
     return MarketSnapshot(date=base.date, bonds=(short, *base.bonds), benchmark=base.benchmark)
 
 
+def six_bond_day() -> MarketSnapshot:
+    return generate_scenario(ScenarioSpec(regime="falling", n_bonds=6, seed=3))
+
+
 def simplex_points(rng, count):
     """Points inside the box, on and just past both box edges, and on and
     just off the beta0 wall."""
@@ -122,16 +136,21 @@ def simplex_points(rng, count):
 
 class TestKernelOracle:
     @pytest.mark.parametrize("make_day", [desk_day, day_with_short_cashflow])
-    def test_simplex_objective_equals_reference(self, make_day, monkeypatch):
+    def test_price_errors_equal_reference(self, make_day, monkeypatch):
         bonds = list(make_day().bonds)
         series_calls = []
         monkeypatch.setattr(nss, "_decay_ratio", lambda x: series_calls.append(1) or _decay_ratio(x))
-        ref, new = ref_simplex_objective(bonds), _simplex_objective(bonds)
+        ref, errors = ref_simplex_objective(bonds), _price_errors(bonds)
         pts = simplex_points(np.random.default_rng(11), 1200)
-        for x in pts:
-            assert new(x) == ref(x), x.tolist()
-        on_wall = sum(ref(x) == 1e12 for x in pts)
-        assert 0 < on_wall < len(pts)
+        expected = [ref(x) for x in pts]
+        on_wall = np.array([_on_wall(x.tolist()) for x in pts])
+        assert 0 < on_wall.sum() < len(pts)
+        assert all(expected[k] == _WALL for k in np.flatnonzero(on_wall))
+        rows = pts[~on_wall].copy()
+        rows[:, 4:] = np.exp(rows[:, 4:])
+        inside = [expected[k] for k in np.flatnonzero(~on_wall)]
+        assert errors(rows).tolist() == inside
+        assert [float(errors(row[None, :])[0]) for row in rows] == inside
         if bonds[0].id == "short":
             assert series_calls, "the series branch never ran"
 
@@ -179,6 +198,52 @@ class TestGolden:
             "lambda2": "0x1.e68519e0e4086p-2",
         }
         assert nss_objective(snap, fitted).hex() == "0x1.cb125381edd16p-21"
+
+
+def scipy_runs(bonds, starts, config):
+    """Each start's first and polish runs, by scipy on the verbatim reference."""
+    objective = ref_simplex_objective(bonds)
+    runs = []
+    for x0 in starts:
+        first = minimize(objective, x0, method="Nelder-Mead",
+                         options=dict(maxiter=config.max_iter, xatol=1e-10, fatol=1e-14))
+        polish = minimize(objective, first.x, method="Nelder-Mead",
+                          options=dict(maxiter=config.max_iter, xatol=1e-12, fatol=1e-16))
+        runs.append((first, polish))
+    return runs
+
+
+def run_key(run):
+    return (run.x.tobytes(), float(run.fun).hex(), int(run.nfev), int(run.nit), bool(run.success))
+
+
+class TestLockstepOracle:
+    @pytest.mark.parametrize("make_day, config", [
+        (desk_day, NssFitConfig()),
+        (desk_day, NssFitConfig(max_iter=300)),
+        (desk_day, NssFitConfig(starts=10, seed=5)),
+        (day_with_short_cashflow, NssFitConfig()),
+        (six_bond_day, NssFitConfig()),
+    ], ids=["desk-defaults", "desk-max-iter-300", "desk-10-starts-seed-5", "short-cashflow", "six-bonds"])
+    def test_runs_equal_scipy_nelder_mead(self, make_day, config, monkeypatch):
+        bonds = list(make_day().bonds)
+        series_calls = []
+        monkeypatch.setattr(nss, "_decay_ratio", lambda x: series_calls.append(1) or _decay_ratio(x))
+        starts = _start_points(bonds, config)
+        result = nss.minimize(bonds, starts, config.max_iter)
+        expected = scipy_runs(bonds, starts, config)
+        assert len(result.runs) == config.starts
+        for start, (got, want) in enumerate(zip(result.runs, expected)):
+            for stage, g, w in zip(("first", "polish"), got, want):
+                assert run_key(g) == run_key(w), (start, stage)
+        assert result.nfev == sum(r.nfev for pair in expected for r in pair)
+        assert result.success == all(r.success for pair in expected for r in pair)
+        if bonds[0].id == "short":
+            assert series_calls, "the series branch never ran"
+        if make_day is desk_day and config == NssFitConfig():
+            # the (2, 8) and (5, 15) starts begin on the wall, and some runs stop at the cap
+            assert [k for k, x0 in enumerate(starts) if _on_wall(x0.tolist())] == [2, 5]
+            assert not result.success
 
 
 class TestPenaltyWall:
