@@ -20,7 +20,9 @@ minimizes
 
 over the kernel weights alpha placed at the union of all cashflow dates, and
 is solved in closed form through an equivalent symmetric positive-definite
-system of one equation per bond.
+system of one equation per bond, laid out by ``_kr_system``. ``numpy.linalg``
+solves it with its Cholesky factor L, first with L and then with L'; the
+diagonal is jittered if the system is not numerically positive definite.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import FitFailureError, InvalidDiscountError, SingularSystemError, ValidationError
 from .market import MarketSnapshot
 from .pricing import YieldCurve, cashflow_matrix, duration_price_weights
 
 _ANCHOR_TOL = 1e-9
+
+cho_factor = np.linalg.cholesky  # looked up per call, so perfbench can count factorisations
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ class KrModel:
         object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
         if len(self.anchor_times) != len(self.alphas):
             raise ValidationError("anchor_times and alphas must have equal length")
+        if not np.isfinite(self.anchor_times + self.alphas).all():
+            raise ValidationError("anchor_times and alphas must be finite")
         if not self.anchor_times or self.anchor_times[0] <= 0 or any(
             t2 <= t1 for t1, t2 in zip(self.anchor_times, self.anchor_times[1:])
         ):
@@ -119,8 +124,8 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = 1e-12
     while True:
         try:
-            factor = cho_factor(A + jitter * np.eye(len(A)), lower=True)
-            return cho_solve(factor, rhs)
+            L = cho_factor(A + jitter * np.eye(len(A)))
+            return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
         except np.linalg.LinAlgError:
             if scale > 1e-6:
                 cond = float(np.linalg.cond(A))
@@ -130,6 +135,22 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 ) from None
             jitter = scale * trace if trace > 0 else scale
             scale *= 10.0
+
+
+def _kr_system(snapshot: MarketSnapshot, kernel_params: KernelParams) -> tuple:
+    """The fit's layout on ``snapshot``: anchor times, C, K, weights w, prices."""
+    bonds = list(snapshot.bonds)
+    anchor_times, C = cashflow_matrix(bonds, tol=_ANCHOR_TOL)
+    K = kernel_matrix(anchor_times, kernel_params)
+    return anchor_times, C, K, duration_price_weights(bonds), np.array([b.market_price for b in bonds])
+
+
+def _kr_score(system: tuple, lam: float, alphas: np.ndarray) -> tuple[float, float]:
+    """Weighted squared price error of ``alphas``, and the objective: that plus lam * alphas' K alphas."""
+    _, C, K, w, prices = system
+    fitted = C @ (1.0 + K @ alphas)
+    price_error = float(np.sum(w * (prices - fitted) ** 2))
+    return price_error, price_error + lam * float(alphas @ K @ alphas)
 
 
 def fit_kr(
@@ -151,16 +172,12 @@ def fit_kr(
     """
     if not (0 < lam < np.inf):
         raise ValidationError(f"lambda must be finite and > 0, got {lam}")
-    bonds = list(snapshot.bonds)
-    anchor_times, C = cashflow_matrix(bonds, tol=_ANCHOR_TOL)
-    K = kernel_matrix(anchor_times, kernel_params)
-    w = duration_price_weights(bonds)
-    prices = np.array([b.market_price for b in bonds])
-
+    system = _kr_system(snapshot, kernel_params)
+    anchor_times, C, K, w, prices = system
     resid0 = prices - C.sum(axis=1)  # price minus undiscounted cashflows
     sqrt_w = np.sqrt(w)
     G = C @ K @ C.T
-    A = sqrt_w[:, None] * G * sqrt_w[None, :] + lam * np.eye(len(bonds))
+    A = sqrt_w[:, None] * G * sqrt_w[None, :] + lam * np.eye(len(prices))
     if not np.isfinite(A).all():
         # sinh(m * t) overflows once m = sqrt(a / b) passes about 710 / t
         raise FitFailureError(
@@ -170,9 +187,7 @@ def fit_kr(
     u = _solve_spd(A, sqrt_w * resid0)
     alphas = C.T @ (sqrt_w * u)
 
-    fitted = C @ (1.0 + K @ alphas)
-    price_error = float(np.sum(w * (prices - fitted) ** 2))
-    objective = price_error + lam * float(alphas @ K @ alphas)
+    price_error, objective = _kr_score(system, lam, alphas)
     return KrModel(
         anchor_times=tuple(anchor_times),
         alphas=tuple(alphas),
@@ -185,18 +200,12 @@ def fit_kr(
 
 def kr_objective(snapshot: MarketSnapshot, model: KrModel, alphas=None) -> float:
     """Objective value of ``model`` (or of override weights ``alphas``) on ``snapshot``."""
-    bonds = list(snapshot.bonds)
-    anchor_times, C = cashflow_matrix(bonds, tol=_ANCHOR_TOL)
-    if len(anchor_times) != len(model.anchor_times) or np.max(
-        np.abs(anchor_times - np.array(model.anchor_times))
-    ) > _ANCHOR_TOL:
+    system = _kr_system(snapshot, model.kernel_params)
+    anchors = system[0]
+    if len(anchors) != len(model.anchor_times) or np.max(np.abs(anchors - model._arrays[0])) > _ANCHOR_TOL:
         raise ValidationError("model anchors do not match the snapshot's cashflow dates")
     al = np.array(model.alphas if alphas is None else alphas, dtype=float)
-    K = kernel_matrix(anchor_times, model.kernel_params)
-    w = duration_price_weights(bonds)
-    prices = np.array([b.market_price for b in bonds])
-    fitted = C @ (1.0 + K @ al)
-    return float(np.sum(w * (prices - fitted) ** 2) + model.lam * (al @ K @ al))
+    return _kr_score(system, model.lam, al)[1]
 
 
 def kr_discount(model: KrModel, t):

@@ -37,6 +37,10 @@ from .errors import ParseError, ValidationError
 
 _REGIMES = ("flat", "rising", "falling")
 
+# Longest maturity a generated bond may have, in years. A bond carries one
+# coupon date per year of life, so the cap also bounds its cashflow count.
+MAX_MATURITY = 100.0
+
 # Tenors used for generated benchmark curves; span the evaluation grid.
 _BENCHMARK_TENORS = (1 / 365, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
 
@@ -165,7 +169,8 @@ class ScenarioSpec:
     falling is the mirror image. Bonds pay annual coupons, are priced exactly
     off benchmark + ``spread_over_benchmark``, then perturbed multiplicatively
     by N(0, price_noise_sd) noise. Keep price_noise_sd < 0.05 so prices stay
-    positive.
+    positive. ``maturity_range`` must satisfy 0 < min < max <= ``MAX_MATURITY``
+    and ``coupon_range`` 0 <= min <= max, both finite.
     """
 
     regime: str
@@ -183,12 +188,15 @@ class ScenarioSpec:
         if self.n_bonds < 2:
             raise ValidationError(f"n_bonds must be >= 2, got {self.n_bonds}")
         lo, hi = self.maturity_range
-        if not (0 < lo < hi):
-            raise ValidationError(f"maturity_range must satisfy 0 < min < max, got {self.maturity_range}")
+        if not (0 < lo < hi <= MAX_MATURITY):
+            raise ValidationError(
+                f"maturity_range must satisfy 0 < min < max <= {MAX_MATURITY:g}, got {self.maturity_range}"
+            )
         if not (0 <= self.price_noise_sd < math.inf):
             raise ValidationError(f"price_noise_sd must be finite and >= 0, got {self.price_noise_sd}")
-        if self.coupon_range[0] > self.coupon_range[1] or self.coupon_range[0] < 0:
-            raise ValidationError(f"invalid coupon_range {self.coupon_range}")
+        lo, hi = self.coupon_range
+        if not (0 <= lo <= hi < math.inf):
+            raise ValidationError(f"coupon_range must be finite with 0 <= min <= max, got {self.coupon_range}")
 
 
 def sort_bonds(bonds) -> list[Bond]:

@@ -66,10 +66,17 @@ class NssParams:
     lambda2: float
 
     def __post_init__(self):
+        if not np.isfinite(_row(self)).all():
+            raise ValidationError(f"NSS parameters must be finite, got {self}")
         if not (self.lambda1 > 0 and self.lambda2 > 0):
             raise ValidationError(f"decay scales must be positive, got {self.lambda1}, {self.lambda2}")
         if not (self.beta0 > -0.10):
             raise ValidationError(f"beta0 must exceed -0.10, got {self.beta0}")
+
+
+def _row(params: NssParams) -> np.ndarray:
+    """``params`` as a one-row batch ``[[b0, b1, b2, b3, l1, l2]]``."""
+    return np.array([[params.beta0, params.beta1, params.beta2, params.beta3, params.lambda1, params.lambda2]])
 
 
 @dataclass(frozen=True)
@@ -99,26 +106,28 @@ def _decay_ratio(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decay_terms(neg_t: np.ndarray, lam: float, t_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """``h(x)`` and ``h(x) - exp(-x)`` at ``x = t/lam``, from negated times ``neg_t``.
+def _loadings(neg_t: np.ndarray, lam: np.ndarray, t_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """``h(x)`` and ``h(x) - exp(-x)`` at ``x = t/lam`` for every decay scale
+    in ``lam`` (shape ``(..., 1)``), from negated times ``neg_t``.
 
     Works on ``n = -t/lam`` so that ``exp(n)`` and ``expm1(n)/n`` need no
     further negation. Sign flips are exact, so the values equal the positive-x
-    forms bit for bit. ``t_min`` is the smallest time (NaN if any is NaN):
-    dividing by a positive ``lam`` keeps the order, so ``t_min/lam`` is the
-    smallest x and decides whether any entry needs ``_decay_ratio``'s series
-    branch.
+    forms bit for bit. ``t_min`` is the smallest time (NaN if any is NaN), so
+    ``t_min / lam.max()`` is the smallest x and decides whether any entry needs
+    ``_decay_ratio``'s series branch; that branch gives every other entry the
+    value of the plain one.
     """
     n = neg_t / lam
-    h = np.expm1(n) / n if t_min / lam >= _SERIES_BELOW else _decay_ratio(-n)
+    h = np.expm1(n) / n if t_min / lam.max() >= _SERIES_BELOW else _decay_ratio(-n)
     return h, h - np.exp(n)
 
 
-def _nss_yields(b0, b1, b2, b3, l1, l2, neg_t: np.ndarray, t_min: float) -> np.ndarray:
-    """Spot yields at the times ``-neg_t``; see ``_decay_terms`` for ``t_min``."""
-    h1, s1 = _decay_terms(neg_t, l1, t_min)
-    _, s2 = _decay_terms(neg_t, l2, t_min)
-    return b0 + b1 * h1 + b2 * s1 + b3 * s2
+def _yields(rows: np.ndarray, neg_t: np.ndarray, t_min: float) -> np.ndarray:
+    """Spot yields at the times ``-neg_t`` of each Svensson curve in ``rows``,
+    a (K, 6) array of ``(b0, b1, b2, b3, l1, l2)``; see ``_loadings`` for ``t_min``."""
+    b = rows[:, :4, None]
+    h, s = _loadings(neg_t, rows[:, 4:, None], t_min)
+    return b[:, 0] + b[:, 1] * h[:, 0] + b[:, 2] * s[:, 0] + b[:, 3] * s[:, 1]
 
 
 def nss_yield(params: NssParams, t, limit_at_zero: bool = False):
@@ -138,10 +147,7 @@ def nss_yield(params: NssParams, t, limit_at_zero: bool = False):
         out[zero] = params.beta0 + params.beta1
     if np.any(~zero):
         t_pos = arr[~zero]
-        out[~zero] = _nss_yields(
-            params.beta0, params.beta1, params.beta2, params.beta3,
-            params.lambda1, params.lambda2, -t_pos, t_pos.min(),
-        )
+        out[~zero] = _yields(_row(params), -t_pos, t_pos.min())[0]
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -171,15 +177,10 @@ class NssCurve(YieldCurve):
         return nss_yield(self.params, ts)
 
 
-def _basis(t: np.ndarray, l1: float, l2: float) -> np.ndarray:
-    neg_t, t_min = -t, t.min()
-    h1, s1 = _decay_terms(neg_t, l1, t_min)
-    _, s2 = _decay_terms(neg_t, l2, t_min)
-    return np.column_stack([np.ones_like(t), h1, s1, s2])
-
-
 def _warm_start_betas(maturities: np.ndarray, ytms: np.ndarray, l1: float, l2: float) -> np.ndarray:
-    betas, *_ = np.linalg.lstsq(_basis(maturities, l1, l2), ytms, rcond=None)
+    h, s = _loadings(-maturities, np.array([[l1], [l2]]), maturities.min())
+    basis = np.column_stack([np.ones_like(maturities), h[0], s[0], s[1]])
+    betas, *_ = np.linalg.lstsq(basis, ytms, rcond=None)
     return betas
 
 
@@ -197,9 +198,7 @@ def _price_errors(bonds) -> Callable[[np.ndarray], np.ndarray]:
     difference into a different fitted curve. Hence ``np.matmul(C, D[:, :, None])``,
     one matrix-vector product per row as ``C @ d``; ``C @ D.T`` is one matrix
     product, whose sums round differently. The anchor times come sorted, so
-    ``t[0]`` and the smallest decay scale alone decide whether the series
-    branch of ``_decay_ratio`` is needed; that branch gives every other entry
-    the value of the plain one.
+    ``t[0]`` is their smallest.
     """
     weights = duration_price_weights(bonds)
     anchor_times, C = cashflow_matrix(bonds)
@@ -208,12 +207,7 @@ def _price_errors(bonds) -> Callable[[np.ndarray], np.ndarray]:
     t_min = float(anchor_times[0])
 
     def errors(rows: np.ndarray) -> np.ndarray:
-        b = rows[:, :4, None]
-        lam = rows[:, 4:, None]
-        n = neg_t / lam
-        h = np.expm1(n) / n if t_min / lam.min() >= _SERIES_BELOW else _decay_ratio(-n)
-        s = h - np.exp(n)
-        yields = b[:, 0] + b[:, 1] * h[:, 0] + b[:, 2] * s[:, 0] + b[:, 3] * s[:, 1]
+        yields = _yields(rows, neg_t, t_min)
         r = prices - np.matmul(C, np.exp(neg_t * yields)[:, :, None])[:, :, 0]
         return (weights * (r * r)).sum(axis=1)
 
@@ -222,8 +216,7 @@ def _price_errors(bonds) -> Callable[[np.ndarray], np.ndarray]:
 
 def nss_objective(snapshot: MarketSnapshot, params: NssParams) -> float:
     """Duration-weighted squared price error of ``params`` on ``snapshot``."""
-    row = [params.beta0, params.beta1, params.beta2, params.beta3, params.lambda1, params.lambda2]
-    return float(_price_errors(list(snapshot.bonds))(np.array([row]))[0])
+    return float(_price_errors(list(snapshot.bonds))(_row(params))[0])
 
 
 @dataclass(frozen=True)

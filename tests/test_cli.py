@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvekit
 from curvekit.cli import main
 
 
@@ -345,3 +350,28 @@ class TestExperiments:
         first = strip_timestamp(workdir / "rep.loo.kr.json")
         assert run(argv) == 0
         assert strip_timestamp(workdir / "rep.loo.kr.json") == first
+
+
+# scipy is a test-only dependency: the commands run with its import blocked
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from curvekit.cli import main
+for argv in (
+    ["generate", "--regime", "falling", "--bonds", "12", "--seed", "3", "-o", "day.json"],
+    ["fit", "day.json", "--estimator", "kr", "-o", "kr.model.json"],
+    ["experiment", "loo", "day.json", "--estimators", "bootstrap,kr", "--mc", "2", "-o", "rep"],
+):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[:2]} exited {code}")
+"""
+
+
+def test_commands_run_without_scipy(workdir):
+    src = str(Path(curvekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (workdir / "kr.model.json").exists() and (workdir / "rep.loo.kr.json").exists()

@@ -55,7 +55,7 @@ COMMANDS = {
 
 FLAG_VALUES = st.sampled_from([
     "nan", "inf", "-inf", "-1", "0", "-0", "", " ", ",", "1,1", "2,2", "1e309", "1e-300", "5e-324",
-    "abc", "2", "0.5", "1e-8", "0.1,0.2", "nss", "kr,nn", "B001", "<2Y",
+    "abc", "2", "0.5", "1e-8", "0.1,0.2", "nss", "kr,nn", "B001", "<2Y", "nan,nan", "0.1,inf",
 ])
 
 FILE_VALUES = st.sampled_from([
@@ -146,6 +146,9 @@ HYPERSCAN = COMMANDS["hyperscan"][0]
 @example(case=([*GENERATE, "--seed=-1"], None))
 @example(case=([*HYPERSCAN, "--nn-init-scale=-0"], None))
 @example(case=([*FIT_KR, "--kr-b=1e-8"], None))
+@example(case=([*GENERATE, "--coupon-range=nan,nan"], None))
+@example(case=([*GENERATE, "--maturity-range=0.1,inf"], None))
+@example(case=([*GENERATE, "--maturity-range=0.1,1e308"], None))
 def test_main_returns_an_exit_code_and_never_raises(case):
     argv, mutation = case
     assert run_case(argv, mutation) in EXIT_CODES

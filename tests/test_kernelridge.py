@@ -243,7 +243,7 @@ class TestFit:
     def test_objective_echo_consistent(self):
         snap = five_bond_snapshot()
         model = fit_kr(snap, lam=1e-2)
-        assert kr_objective(snap, model) == pytest.approx(model.objective, rel=1e-12)
+        assert kr_objective(snap, model) == model.objective
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -276,6 +276,14 @@ class TestYieldSurface:
         # a model file or library caller cannot carry a lambda no fit produces
         with pytest.raises(ValidationError, match="lambda must be finite and > 0"):
             KrModel(anchor_times=(1.0,), alphas=(0.0,), lam=lam, kernel_params=KernelParams())
+
+    @pytest.mark.parametrize("anchors, alphas", [
+        ((math.nan,), (0.0,)), ((math.inf,), (0.0,)), ((1.0, math.inf), (0.0, 0.0)),
+        ((1.0,), (math.nan,)), ((1.0,), (math.inf,)), ((1.0, 2.0), (0.0, -math.inf)),
+    ])
+    def test_model_rejects_non_finite_anchors_and_alphas(self, anchors, alphas):
+        with pytest.raises(ValidationError, match="anchor_times and alphas must be finite"):
+            KrModel(anchor_times=anchors, alphas=alphas, lam=1e-2, kernel_params=KernelParams())
 
     def test_zero_alphas_zero_yield(self):
         model = self.base_model((0.0, 0.0, 0.0))

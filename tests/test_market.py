@@ -20,6 +20,7 @@ from curvekit import (
     present_value,
     save_snapshot,
 )
+from curvekit.market import MAX_MATURITY
 
 BENCH = BenchmarkCurve(tenors=(0.5, 2.0, 10.0), rates=(0.02, 0.025, 0.03))
 
@@ -85,6 +86,14 @@ class TestTypeInvariants:
         for sd in (math.nan, math.inf):
             with pytest.raises(ValidationError, match="price_noise_sd must be finite"):
                 ScenarioSpec(regime="flat", price_noise_sd=sd)
+        for maturity_range in ((0.0, 1.0), (0.1, math.nan), (math.nan, 1.0), (0.1, math.inf), (0.1, 1e308),
+                               (0.1, MAX_MATURITY * (1 + 1e-15))):
+            with pytest.raises(ValidationError, match="maturity_range must satisfy"):
+                ScenarioSpec(regime="flat", maturity_range=maturity_range)
+        ScenarioSpec(regime="flat", maturity_range=(0.1, MAX_MATURITY))
+        for coupon_range in ((math.nan, math.nan), (0.01, math.nan), (0.01, math.inf), (-0.01, 0.02), (0.05, 0.01)):
+            with pytest.raises(ValidationError, match="coupon_range must be finite with 0 <= min <= max"):
+                ScenarioSpec(regime="flat", coupon_range=coupon_range)
 
 
 class TestRoundTrip:

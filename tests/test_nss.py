@@ -111,6 +111,11 @@ class TestEvaluation:
             NssParams(beta0=0.03, beta1=0.0, beta2=0.0, beta3=0.0, lambda1=-1.0, lambda2=5.0)
         with pytest.raises(ValidationError):
             NssParams(beta0=-0.2, beta1=0.0, beta2=0.0, beta3=0.0, lambda1=1.0, lambda2=5.0)
+        finite = dict(beta0=0.03, beta1=0.0, beta2=0.0, beta3=0.0, lambda1=1.0, lambda2=5.0)
+        for field in finite:
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValidationError, match="NSS parameters must be finite"):
+                    NssParams(**{**finite, field: value})
 
 
 class TestFit:
