@@ -21,10 +21,10 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .evaluation import (
     drop_bonds_experiment,
     loo_experiment,
     perturb_price_experiment,
+    refit,
     rmse_ytm,
     stability_experiment,
     write_report,
@@ -52,70 +53,6 @@ EXIT_OK = 0
 EXIT_ARGS = 2
 EXIT_IO = 3
 EXIT_COMPUTE = 4
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """One selected estimator plus its sub-configuration."""
-
-    estimator: str
-    nss: NssFitConfig = field(default_factory=NssFitConfig)
-    kr_lambda: float = 1e-2
-    kr_kernel: KernelParams = field(default_factory=KernelParams)
-    nn: TrainConfig = field(default_factory=TrainConfig)
-
-    def __post_init__(self):
-        if self.estimator not in ESTIMATOR_NAMES:
-            raise ValidationError(f"estimator must be one of {ESTIMATOR_NAMES}, got {self.estimator!r}")
-        if not (self.kr_lambda > 0):
-            raise ValidationError(f"kr lambda must be > 0, got {self.kr_lambda}")
-        if self.kr_lambda == np.inf:
-            raise ValidationError("kr lambda must be finite, got inf")
-
-
-def build_estimator(config: FitConfig) -> Estimator:
-    """Wrap the configured estimator as a snapshot -> curve callable."""
-    name = config.estimator
-    if name == "bootstrap":
-        return Estimator(name, lambda snap: bootstrap(snap))
-    if name == "nss":
-        return Estimator(name, lambda snap: NssCurve(fit_nss(snap, config.nss)))
-    if name == "kr":
-        return Estimator(name, lambda snap: KrCurve(fit_kr(snap, config.kr_lambda, config.kr_kernel)))
-    return Estimator(name, lambda snap: NnCurve(train(snap, config.nn)))
-
-
-def _model_dict(config: FitConfig, curve, snapshot) -> dict:
-    if config.estimator == "bootstrap":
-        return {
-            "estimator": "bootstrap",
-            "knot_times": list(curve.knot_times),
-            "knot_yields": list(curve.knot_yields),
-            "diagnostics": list(curve.diagnostics),
-        }
-    if config.estimator == "nss":
-        p = curve.params
-        return {
-            "estimator": "nss",
-            "params": {
-                "beta0": p.beta0, "beta1": p.beta1, "beta2": p.beta2, "beta3": p.beta3,
-                "lambda1": p.lambda1, "lambda2": p.lambda2,
-            },
-            # curve-level fit quality; the parameters themselves may not be unique
-            "objective": nss_objective(snapshot, p),
-        }
-    if config.estimator == "kr":
-        m = curve.model
-        return {
-            "estimator": "kr",
-            "lambda": m.lam,
-            "kernel": {"a": m.kernel_params.a, "b": m.kernel_params.b},
-            "anchor_times": list(m.anchor_times),
-            "alphas": list(m.alphas),
-            "objective": m.objective,
-            "price_error": m.price_error,
-        }
-    return {"estimator": "nn", **nn_to_dict(curve.params, config.nn)}
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +101,54 @@ def _pair(text: str) -> tuple[float, float]:
     return (parts[0], parts[1])
 
 
-def _fit_config_from_args(args, estimator: str) -> FitConfig:
-    return FitConfig(
-        estimator=estimator,
-        nss=NssFitConfig(starts=args.nss_starts, max_iter=args.nss_max_iter, seed=args.seed),
-        kr_lambda=args.kr_lambda,
-        kr_kernel=KernelParams(a=args.kr_a, b=args.kr_b),
-        nn=TrainConfig(
-            learning_rate=args.nn_lr,
-            epochs=args.nn_epochs,
-            gamma1=args.nn_gamma1,
-            gamma2=args.nn_gamma2,
-            seed=args.seed,
-            init_scale=args.nn_init_scale,
-            hidden_count=args.nn_hidden,
-            regularizer=args.nn_regularizer,
-        ),
-    )
+def _train_config(args, lr: float, epochs: int, gamma1: float, gamma2: float) -> TrainConfig:
+    return TrainConfig(learning_rate=lr, epochs=epochs, gamma1=gamma1, gamma2=gamma2, seed=args.seed,
+                       init_scale=args.nn_init_scale, hidden_count=args.nn_hidden, regularizer=args.nn_regularizer)
+
+
+def _nn_fit(config: TrainConfig):
+    return lambda snap: NnCurve(train(snap, config))
+
+
+def build_estimators(args, names) -> list[tuple[Estimator, Callable]]:
+    """The named estimators, each with its model-file writer ``(curve, snapshot) -> dict``.
+
+    Every estimator's flags are checked, named or not, in one order (NSS,
+    kernel, NN, then lambda), so a bad flag is an argument error before any
+    file is read. The fits and writers call this module's names at call time,
+    so a wrapper installed on the module (the benchmark tracer's) sees them.
+    """
+    nss = NssFitConfig(starts=args.nss_starts, max_iter=args.nss_max_iter, seed=args.seed)
+    kernel = KernelParams(a=args.kr_a, b=args.kr_b)
+    nn = _train_config(args, args.nn_lr, args.nn_epochs, args.nn_gamma1, args.nn_gamma2)
+    lam = args.kr_lambda
+    if not (lam > 0):
+        raise ValidationError(f"kr lambda must be > 0, got {lam}")
+    if lam == np.inf:
+        raise ValidationError("kr lambda must be finite, got inf")
+    table = {
+        "bootstrap": (lambda snap: bootstrap(snap), lambda curve, snap: {
+            "estimator": "bootstrap",
+            "knot_times": list(curve.knot_times),
+            "knot_yields": list(curve.knot_yields),
+            "diagnostics": list(curve.diagnostics),
+        }),
+        # the objective is curve-level fit quality; the parameters themselves may not be unique
+        "nss": (lambda snap: NssCurve(fit_nss(snap, nss)), lambda curve, snap: {
+            "estimator": "nss", "params": asdict(curve.params), "objective": nss_objective(snap, curve.params),
+        }),
+        "kr": (lambda snap: KrCurve(fit_kr(snap, lam, kernel)), lambda curve, snap: {
+            "estimator": "kr",
+            "lambda": curve.model.lam,
+            "kernel": asdict(curve.model.kernel_params),
+            "anchor_times": list(curve.model.anchor_times),
+            "alphas": list(curve.model.alphas),
+            "objective": curve.model.objective,
+            "price_error": curve.model.price_error,
+        }),
+        "nn": (_nn_fit(nn), lambda curve, snap: {"estimator": "nn", **nn_to_dict(curve.params, nn)}),
+    }
+    return [(Estimator(name, table[name][0]), table[name][1]) for name in names]
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
@@ -255,26 +223,26 @@ def _load_for_command(path: str):
 
 
 def cmd_fit(args) -> int:
-    config = _fit_config_from_args(args, args.estimator)
+    (estimator, model_dict), = build_estimators(args, [args.estimator])
     snapshot = _load_for_command(args.snapshot)
     if snapshot is None:
         return EXIT_IO
     dense = np.arange(0.1, 30.0 + 1e-9, 0.1)
     tenors = np.array(sorted({round(float(t), 10) for t in list(TenorGrid().tenors) + list(dense)}))
-    try:
-        curve = build_estimator(config).fit(snapshot)
-        samples = curve.yields(tenors).tolist()  # a fit counts once its curve evaluates
-        score = rmse_ytm(curve, snapshot)  # and once its score can be taken
-    except CurveKitError as exc:
+    # a fit counts once its curve evaluates and its score can be taken
+    fitted, exc = refit(estimator, snapshot,
+                        lambda curve: (curve, curve.yields(tenors).tolist(), rmse_ytm(curve, snapshot)))
+    if exc is not None:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    curve, samples, score = fitted
 
     stem = Path(args.snapshot).stem
-    model_path = args.output or f"{stem}.{config.estimator}.model.json"
-    samples_path = args.samples or f"{stem}.{config.estimator}.samples.csv"
+    model_path = args.output or f"{stem}.{estimator.name}.model.json"
+    samples_path = args.samples or f"{stem}.{estimator.name}.samples.csv"
     try:
         with open(model_path, "w") as fh:
-            json.dump(_model_dict(config, curve, snapshot), fh, indent=2)
+            json.dump(model_dict(curve, snapshot), fh, indent=2)
             fh.write("\n")
         with open(samples_path, "w") as fh:
             fh.write("tenor,yield,benchmark_yield\n")
@@ -283,7 +251,7 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"fit {config.estimator} on {args.snapshot}: RMSE_ytm = {score:.6e}")
+    print(f"fit {estimator.name} on {args.snapshot}: RMSE_ytm = {score:.6e}")
     print(f"wrote {model_path} and {samples_path}")
     return EXIT_OK
 
@@ -386,26 +354,20 @@ def _loo(args, snapshots, estimator: Estimator) -> _Outcome:
                     summary=f"loo {estimator.name} ({args.mc} MC): {cells}", per_bucket=per_bucket)
 
 
-def _scan_configs(args) -> list[tuple[tuple, TrainConfig]]:
-    """Hyperscan's grid as ((gamma1, gamma2, epochs, lr), config) pairs, in report order."""
+def _scan_grid(args) -> list[tuple[tuple, Estimator]]:
+    """Hyperscan's grid as ((gamma1, gamma2, epochs, lr), NN estimator) pairs, in report order."""
     return [
-        ((g1, g2, epochs, lr), TrainConfig(
-            learning_rate=lr, epochs=epochs, gamma1=g1, gamma2=g2,
-            seed=args.seed, hidden_count=args.nn_hidden,
-            init_scale=args.nn_init_scale, regularizer=args.nn_regularizer,
-        ))
+        ((g1, g2, epochs, lr), Estimator("nn", _nn_fit(_train_config(args, lr, epochs, g1, g2))))
         for g1, g2, epochs, lr in itertools.product(args.gamma1, args.gamma2, args.epochs, args.lr)
     ]
 
 
-def _hyperscan(args, snapshots, configs) -> _Outcome:
+def _hyperscan(args, snapshots, grid) -> _Outcome:
     snapshot, = snapshots
     rows, metrics, scores = [], {}, {}
-    for (g1, g2, epochs, lr), config in configs:
-        try:
-            score, err = rmse_ytm(NnCurve(train(snapshot, config)), snapshot), None
-        except CurveKitError as exc:
-            score, err = None, str(exc)
+    for (g1, g2, epochs, lr), estimator in grid:
+        score, exc = refit(estimator, snapshot, lambda curve: rmse_ytm(curve, snapshot))
+        err = None if exc is None else str(exc)
         rows.append({"lr": lr, "epochs": epochs, "gamma1": g1, "gamma2": g2, "rmse_ytm": score, "error": err})
         metrics[f"rmse_ytm[lr={lr:g},epochs={epochs},g1={g1:g},g2={g2:g}]"] = score
         scores[g1, g2, epochs, lr] = score
@@ -438,11 +400,10 @@ def cmd_experiment(args) -> int:
     reports, n_failed = [], 0
     try:
         if kind == "hyperscan":
-            # hyperscan sweeps the NN alone; its one "estimator" is the grid of configs
-            selected = [("nn", _scan_configs(args))]
+            # hyperscan sweeps the NN alone; its one "estimator" is the grid of NN estimators
+            selected = [("nn", _scan_grid(args))]
         else:
-            names = _parse_estimators(args.estimators)
-            selected = [(name, build_estimator(_fit_config_from_args(args, name))) for name in names]
+            selected = [(est.name, est) for est, _ in build_estimators(args, _parse_estimators(args.estimators))]
         snapshots = []
         for path in (args.snapshots if kind == "stability" else [args.snapshot]):
             snap = _load_for_command(path)

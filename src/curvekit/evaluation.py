@@ -6,8 +6,10 @@ single-bond price perturbation, random bond-drop Monte Carlo, day-over-day
 stability with hit rates, and leave-one-out accuracy by maturity bucket.
 
 A metric evaluates a curve with one ``YieldCurve.yields`` call over its grid
-or bond maturities. A protocol does so inside the guard of the fit, so a fitted
-curve that cannot be evaluated counts as a failed fit.
+or bond maturities. ``refit`` is the one rule for what a fit is: the estimator
+fits and the caller's score is taken under one guard, so a fitted curve that
+cannot be evaluated or scored counts as a failed fit. Every protocol fit, and
+every fit of the command line, goes through it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -98,6 +100,23 @@ class Estimator:
     fit: Callable[[MarketSnapshot], YieldCurve]
 
 
+Score = TypeVar("Score")
+
+
+def refit(
+    estimator: Estimator, snapshot: MarketSnapshot, score: Callable[[YieldCurve], Score]
+) -> tuple[Score | None, CurveKitError | None]:
+    """Fit ``snapshot`` and score the curve: ``(score(curve), None)``, or ``(None, exc)``.
+
+    A ``CurveKitError`` from the fit or from the score is a failed fit, so
+    whatever a caller needs of the curve belongs inside ``score``.
+    """
+    try:
+        return score(estimator.fit(snapshot)), None
+    except CurveKitError as exc:
+        return None, exc
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -143,10 +162,18 @@ def _base_fit(snapshot: MarketSnapshot, estimator: Estimator, grid) -> np.ndarra
     as a compute failure even when the estimator rejected the snapshot as
     invalid input.
     """
-    try:
-        return curve_yields(estimator.fit(snapshot), grid)
-    except CurveKitError as exc:
+    ys, exc = refit(estimator, snapshot, lambda curve: curve_yields(curve, grid))
+    if exc is not None:
         raise FitFailureError(str(exc)) from exc
+    return ys
+
+
+def _curve_move(estimator: Estimator, replicate: MarketSnapshot, base: np.ndarray, grid):
+    """RMSE and MAD of a replicate fit's grid yields against ``base``, and the error of a failed fit."""
+    ys, exc = refit(estimator, replicate, lambda curve: curve_yields(curve, grid))
+    if exc is not None:
+        return None, None, str(exc)
+    return _rmse(base, ys), _mad(base, ys), None
 
 
 @dataclass(frozen=True)
@@ -171,25 +198,21 @@ def perturb_price_experiment(
     fit. Fit failures are recorded in the row and the experiment continues; a
     failed unperturbed fit raises ``FitFailureError``.
     """
-    snapshot.bond(bond_id)  # raises KeyError for unknown ids
+    price = snapshot.bond(bond_id).market_price  # raises KeyError for unknown ids
     bumps = list(bumps)
     if not all(bump > -1 for bump in bumps):
         raise ValidationError(f"bumps must be > -1 so the bumped price stays positive, got {bumps}")
+    if not all(math.isfinite(price * (1.0 + bump)) for bump in bumps):
+        raise ValidationError(f"bumps must keep bond {bond_id}'s price {price!r} finite, got {bumps}")
     base = _base_fit(snapshot, estimator, grid)
     rows = []
     for bump in bumps:
-        bumped_bonds = tuple(
+        bumped = replace(snapshot, bonds=(
             Bond(b.id, b.cashflows, b.face_value, b.maturity, b.market_price * (1.0 + bump))
             if b.id == bond_id else b
             for b in snapshot.bonds
-        )
-        bumped = MarketSnapshot(snapshot.date, bumped_bonds, snapshot.benchmark)
-        try:
-            ys = curve_yields(estimator.fit(bumped), grid)
-        except CurveKitError as exc:
-            rows.append(PerturbRow(bump=float(bump), rmse_curve=None, mad=None, error=str(exc)))
-            continue
-        rows.append(PerturbRow(bump=float(bump), rmse_curve=_rmse(base, ys), mad=_mad(base, ys)))
+        ))
+        rows.append(PerturbRow(float(bump), *_curve_move(estimator, bumped, base, grid)))
     return rows
 
 
@@ -242,14 +265,8 @@ def drop_bonds_experiment(
             else:
                 rng = np.random.default_rng([seed, int(count), rep])
                 dropped = tuple(sorted(str(ids[i]) for i in rng.choice(n, size=int(count), replace=False)))
-            kept = tuple(b for b in snapshot.bonds if b.id not in dropped)
-            reduced = MarketSnapshot(snapshot.date, kept, snapshot.benchmark)
-            try:
-                ys = curve_yields(estimator.fit(reduced), grid)
-            except CurveKitError as exc:
-                reps.append(DropReplication(dropped, None, None, str(exc)))
-                continue
-            reps.append(DropReplication(dropped, _rmse(base, ys), _mad(base, ys)))
+            reduced = replace(snapshot, bonds=(b for b in snapshot.bonds if b.id not in dropped))
+            reps.append(DropReplication(dropped, *_curve_move(estimator, reduced, base, grid)))
         ok = [r for r in reps if r.error is None]
         rows.append(
             DropRow(
@@ -289,6 +306,8 @@ def stability_experiment(
     snapshots = list(snapshots)
     if len(snapshots) < 2:
         raise ValidationError("stability needs at least 2 snapshots")
+    if not (0 <= threshold < math.inf):
+        raise ValidationError(f"threshold must be finite and >= 0, got {threshold}")
     tenors = _tenor_array(grid)
     fixed = np.array(list(FIXED_SERIES_TENORS.values()))
     curves: list[YieldCurve | None] = []
@@ -296,15 +315,13 @@ def stability_experiment(
     skipped = []
     series = []
     for snap in snapshots:
-        try:
-            curve = estimator.fit(snap)
-            ys, at_fixed = curve.yields(tenors), curve.yields(fixed).tolist()
-        except CurveKitError as exc:
-            curve = ys = None
-            skipped.append(f"{snap.date}: {exc}")
+        fitted, exc = refit(estimator, snap,
+                            lambda curve: (curve, curve.yields(tenors), curve.yields(fixed).tolist()))
+        curve, ys, at_fixed = fitted or (None, None, None)
         curves.append(curve)
         grid_yields.append(ys)
-        if curve is None:
+        if exc is not None:
+            skipped.append(f"{snap.date}: {exc}")
             continue
         row = {"date": snap.date}
         for label, y, rate in zip(FIXED_SERIES_TENORS, at_fixed, snap.benchmark.yields(fixed).tolist()):
@@ -380,18 +397,15 @@ def loo_experiment(
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, len(eligible), size=n_mc)
     reps = []
-    for rep, pick in enumerate(picks):
+    for pick in picks:
         held = eligible[int(pick)]
-        kept = tuple(b for b in snapshot.bonds if b.id != held.id)
-        reduced = MarketSnapshot(snapshot.date, kept, snapshot.benchmark)
+        reduced = replace(snapshot, bonds=(b for b in snapshot.bonds if b.id != held.id))
+        # the held-out bond's flat yield is part of the score, so a bond without one fails the replicate
+        err, exc = refit(estimator, reduced,
+                         lambda curve: curve.yields(np.array([held.maturity]))[0] - yield_to_maturity(held))
         bucket = bucket_of(held.maturity)
-        try:
-            curve = estimator.fit(reduced)
-            err = curve.yield_at(held.maturity) - yield_to_maturity(held)
-        except CurveKitError as exc:
-            reps.append(LooReplication(held.id, bucket, None, str(exc)))
-            continue
-        reps.append(LooReplication(held.id, bucket, float(err**2)))
+        reps.append(LooReplication(held.id, bucket, None, str(exc)) if exc is not None
+                    else LooReplication(held.id, bucket, float(err**2)))
 
     per_bucket = {}
     counts = {}

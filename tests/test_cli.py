@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import curvekit
+from curvekit import cli
 from curvekit.cli import main
 
 
@@ -143,9 +144,15 @@ class TestFit:
             assert run(argv) == 4
         assert "training diverged" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [("--nn-gamma1", "nan"), ("--nn-gamma2", "inf"), ("--nn-lr", "inf")])
-    def test_non_finite_nn_knob_exits_two_before_reading(self, workdir, capsys, flags):
-        assert run(["fit", "absent.json", "--estimator", "nn", *flags]) == 2
+    # every estimator's flags are checked, whichever estimators are named
+    @pytest.mark.parametrize("argv", [
+        ["fit", "absent.json", "--estimator", "nn", "--nn-gamma1", "nan"],
+        ["fit", "absent.json", "--estimator", "nn", "--nn-gamma2", "inf"],
+        ["fit", "absent.json", "--estimator", "nn", "--nn-lr", "inf"],
+        ["fit", "absent.json", "--estimator", "bootstrap", "--nn-lr", "inf"],
+    ])
+    def test_non_finite_nn_knob_exits_two_before_reading(self, workdir, capsys, argv):
+        assert run(argv) == 2
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["fit", "absent.json", "--estimator", "nn"],
@@ -155,9 +162,16 @@ class TestFit:
         assert run([*command, "--nn-init-scale", scale]) == 2
         assert "init_scale must be finite and >= 0" in capsys.readouterr().err
 
-    def test_infinite_kr_lambda_exits_two_before_reading(self, workdir, capsys):
-        assert run(["fit", "absent.json", "--estimator", "kr", "--kr-lambda", "inf"]) == 2
-        assert "kr lambda must be finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "absent.json", "--estimator", "kr", "--kr-lambda", "inf"], "kr lambda must be finite, got inf"),
+        (["experiment", "loo", "absent.json", "--estimators", "bootstrap", "--kr-lambda", "-1"],
+         "kr lambda must be > 0, got -1.0"),
+        (["experiment", "stability", "a.json", "b.json", "--estimators", "nss", "--kr-a", "0"],
+         "kernel weights must be finite with a > 0"),
+    ])
+    def test_infinite_kr_lambda_exits_two_before_reading(self, workdir, capsys, argv, message):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_overflowing_kr_kernel_exits_four(self, workdir, capsys):
         path = generate_day(workdir)
@@ -306,12 +320,23 @@ class TestExperiments:
         ["drop", "--counts", "1", "--mc", "0"],
         ["loo", "--mc", "-1"],
         ["perturb", "--bumps", "0.03,-1"],
+        ["perturb", "--bumps", "0.03,inf"],
+        ["perturb", "--bumps", "1e307"],
     ])
-    def test_bad_replicate_or_bump_arguments_exit_two(self, workdir, capsys, argv):
+    def test_bad_replicate_or_bump_arguments_exit_two(self, workdir, capsys, monkeypatch, argv):
         path = generate_day(workdir, bonds=10)
         kind, *flags = argv
+        monkeypatch.setattr(cli, "fit_kr", lambda *a: pytest.fail("a fit ran before the arguments were checked"))
         assert run(["experiment", kind, str(path), "--estimators", "kr", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not list(workdir.glob("report.*"))
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_stability_threshold_exits_two_before_fitting(self, workdir, capsys, monkeypatch, threshold):
+        days = [str(generate_day(workdir, name=f"d{i}.json", seed=70 + i)) for i in range(2)]
+        monkeypatch.setattr(cli, "fit_kr", lambda *a: pytest.fail("a fit ran before the arguments were checked"))
+        assert run(["experiment", "stability", *days, "--estimators", "kr", "--threshold", threshold]) == 2
+        assert capsys.readouterr().err == f"error: threshold must be finite and >= 0, got {float(threshold)}\n"
         assert not list(workdir.glob("report.*"))
 
     @pytest.mark.parametrize("argv", [

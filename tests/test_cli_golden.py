@@ -7,9 +7,14 @@ every report file the run wrote. JSON reports are stored without
 directory holding copies of the snapshot files from ``DAYS``, so the argv
 echoed into the provenance is the same every time.
 
-Runs listed in ``CHANGED`` behave differently from the recorded data on
-purpose; each entry states the new exit code and a piece of its stderr. The
-rewrite below keeps their recorded data, so they stay compared against it.
+A run must match its record exactly, with one exception: the numbers in KR and
+NN reports (``rep.*.kr.*``, ``rep.*.nn.*``) come out of BLAS, whose kernels
+differ by CPU, so they are compared within ``REL_TOL`` of the recorded value
+plus ``ABS_TOL``. The floor is for difference metrics (curve RMSE and MAD
+between two fits), which sit far below the yields they are taken from. Under
+``OPENBLAS_CORETYPE`` set to Haswell or SandyBridge the largest drift from
+the record was 1.5e-13 relative (a KR MAD in drop) and 2.1e-17 absolute.
+Bootstrap reports, exit codes, stdout and stderr stay exact.
 
 Rewrite the data file, only after a deliberate change of output, with
 
@@ -19,9 +24,11 @@ Rewrite the data file, only after a deliberate change of output, with
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -42,6 +49,10 @@ DAYS = {
         for i in range(3)
     },
 }
+
+REL_TOL = 1e-11
+ABS_TOL = 1e-15
+BLAS_REPORT = re.compile(r"rep\.\w+\.(kr|nn)\.(json|csv)")
 
 BOOTSTRAP_KR = ("--estimators", "bootstrap,kr")
 
@@ -80,21 +91,6 @@ RUNS = {
     "hyperscan-ignored-flags": ("experiment", "hyperscan", "day.json", "--lr", "1e-7", "--epochs", "5",
                                 "--nn-lr", "1e-3", "--kr-lambda", "5"),
     "bogus-estimator-missing-file": ("experiment", "loo", "absent.json", "--estimators", "bogus"),
-}
-
-# run -> (exit code, piece of stderr). None of these runs writes a report.
-CHANGED = {
-    # a failed base fit is a compute failure in every protocol, as in perturb
-    "drop-nss-five-bonds": (4, "error: base fit failed for nss:"),
-    # replicate and bump arguments are checked before the first fit
-    "drop-negative-count": (2, "drop counts must be >= 0"),
-    "drop-negative-mc": (2, "n_mc must be >= 1"),
-    "loo-negative-mc": (2, "n_mc must be >= 1"),
-    "perturb-bump-minus-one": (2, "bumps must be > -1"),
-    # hyperscan takes only the NN flags it reads
-    "hyperscan-ignored-flags": (2, "unrecognized arguments: --nn-lr 1e-3 --kr-lambda 5"),
-    # --estimators is checked before any file is read
-    "bogus-estimator-missing-file": (2, "unknown estimator 'bogus'"),
 }
 
 
@@ -144,6 +140,44 @@ def run_case(argv, days: Path, workdir: Path) -> dict:
             "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
 
 
+def _parse(name: str, text: str):
+    if name.endswith(".json"):
+        return json.loads(text)
+    return [[_number(cell) for cell in row] for row in csv.reader(io.StringIO(text))]
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _gaps(got, want, where: str):
+    """Where ``got`` differs from ``want``: floats beyond the tolerance, anything else at all."""
+    if isinstance(want, float) and isinstance(got, float):
+        if not abs(got - want) <= REL_TOL * abs(want) + ABS_TOL:
+            yield f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        for key in want:
+            yield from _gaps(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        for i, (a, b) in enumerate(zip(got, want)):
+            yield from _gaps(a, b, f"{where}[{i}]")
+    elif got != want:
+        yield f"{where}: {got!r} != {want!r}"
+
+
+def assert_matches(got: dict, want: dict) -> None:
+    """``got`` equals the record ``want``, KR and NN report numbers within the tolerance."""
+    assert {**got, "files": sorted(got["files"])} == {**want, "files": sorted(want["files"])}
+    for name, text in want["files"].items():
+        if BLAS_REPORT.fullmatch(name):
+            assert list(_gaps(_parse(name, got["files"][name]), _parse(name, text), name)) == []
+        else:
+            assert got["files"][name] == text, name
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(DATA.read_text())
@@ -156,22 +190,24 @@ def days(tmp_path_factory):
 
 def test_data_covers_every_run(golden):
     assert sorted(golden) == sorted(RUNS)
-    assert set(CHANGED) <= set(RUNS)
 
 
-@pytest.mark.parametrize("name", sorted(set(RUNS) - set(CHANGED)))
-def test_unchanged_run_matches_golden(name, golden, days, tmp_path):
-    assert run_case(RUNS[name], days, tmp_path / "run") == golden[name]
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden(name, golden, days, tmp_path):
+    assert_matches(run_case(RUNS[name], days, tmp_path / "run"), golden[name])
 
 
-@pytest.mark.parametrize("name", sorted(CHANGED))
-def test_changed_run(name, golden, days, tmp_path):
-    code, message = CHANGED[name]
-    got = run_case(RUNS[name], days, tmp_path / "run")
-    assert got != golden[name]
-    assert (got["exit"], got["raised"]) == (code, None)
-    assert message in got["stderr"]
-    assert got["stdout"] == "" and got["files"] == {}
+def test_blas_reports_are_compared_within_the_tolerance(golden):
+    want = golden["drop-json"]
+    report = json.loads(want["files"]["rep.drop.kr.json"])
+    mad = report["metrics"]["mad[drop=1]"]
+    report["metrics"]["mad[drop=1]"] = mad * (1 + 1e-13)
+    near = {**want, "files": {**want["files"], "rep.drop.kr.json": json.dumps(report, indent=2) + "\n"}}
+    assert_matches(near, want)
+    report["metrics"]["mad[drop=1]"] = mad * (1 + 1e-9)
+    far = {**want, "files": {**want["files"], "rep.drop.kr.json": json.dumps(report, indent=2) + "\n"}}
+    with pytest.raises(AssertionError, match=re.escape("rep.drop.kr.json.metrics.mad[drop=1]")):
+        assert_matches(far, want)
 
 
 if __name__ == "__main__":
@@ -180,11 +216,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         day_dir = make_days(root)
-        recorded = json.loads(DATA.read_text()) if DATA.exists() else {}
-        records = {
-            name: recorded[name] if name in CHANGED and name in recorded else run_case(argv, day_dir, root / name)
-            for name, argv in RUNS.items()
-        }
+        records = {name: run_case(argv, day_dir, root / name) for name, argv in RUNS.items()}
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DATA} ({len(records)} runs)", file=sys.stderr)

@@ -34,7 +34,7 @@ from curvekit import (
     write_report,
     yield_to_maturity,
 )
-from curvekit.evaluation import BUCKET_LABELS, bucket_grid, curve_yields
+from curvekit.evaluation import BUCKET_LABELS, bucket_grid, curve_yields, refit
 from curvekit.pricing import YieldCurve
 
 GRID = TenorGrid()
@@ -149,6 +149,26 @@ class TestTenorGrid:
             TenorGrid(tenors)
 
 
+class TestRefit:
+    """``refit`` is the one place a fit is decided: a CurveKitError from fit or score fails it."""
+
+    def test_returns_the_score(self, zc_snapshot):
+        assert refit(BOOTSTRAP, zc_snapshot, lambda curve: rmse_ytm(curve, zc_snapshot)) == (
+            rmse_ytm(bootstrap(zc_snapshot), zc_snapshot), None)
+
+    def test_a_failed_fit_or_score_is_returned(self, zc_snapshot):
+        nss = Estimator("nss", lambda s: NssCurve(fit_nss(s)))
+        five = MarketSnapshot(zc_snapshot.date, zc_snapshot.bonds[:5], zc_snapshot.benchmark)
+        score, exc = refit(nss, five, lambda curve: pytest.fail("a failed fit was scored"))
+        assert score is None and isinstance(exc, ValidationError)
+        score, exc = refit(unevaluable_except([]), zc_snapshot, lambda curve: curve_yields(curve, GRID))
+        assert score is None and isinstance(exc, InvalidDiscountError)
+
+    def test_other_errors_propagate(self, zc_snapshot):
+        with pytest.raises(ZeroDivisionError):
+            refit(BOOTSTRAP, zc_snapshot, lambda curve: 1 / 0)
+
+
 class TestUnevaluableCurve:
     """A fit counts only once its curve evaluates on the grid."""
 
@@ -237,6 +257,12 @@ class TestPerturb:
             with pytest.raises(ValidationError, match="bumps"):
                 perturb_price_experiment(zc_snapshot, NO_FIT, bond_id, bumps)
 
+    def test_bump_must_keep_price_finite(self, zc_snapshot):
+        bond_id = zc_snapshot.bonds[-1].id
+        for bumps in ([0.03, float("inf")], [1e307]):
+            with pytest.raises(ValidationError, match="bumps must keep .* finite"):
+                perturb_price_experiment(zc_snapshot, NO_FIT, bond_id, bumps)
+
     def test_failed_base_fit_raises_fit_failure(self):
         snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=5, seed=2))
         nss = Estimator("nss", lambda s: NssCurve(fit_nss(s)))
@@ -311,6 +337,11 @@ class TestStability:
     def test_requires_two_snapshots(self, zc_snapshot):
         with pytest.raises(ValidationError):
             stability_experiment([zc_snapshot], BOOTSTRAP)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_threshold_must_be_finite_and_non_negative(self, zc_snapshot, threshold):
+        with pytest.raises(ValidationError, match="threshold must be finite and >= 0"):
+            stability_experiment([zc_snapshot] * 2, NO_FIT, threshold=threshold)
 
     def test_series_matches_replayed_pairs(self):
         days = self.drifting_days()
