@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import CurveKitError, FitFailureError, ParseError, ValidationError
 from .evaluation import (
+    DEFAULT_HIT_RATE_THRESHOLD,
     Estimator,
     EvaluationReport,
     TenorGrid,
@@ -127,12 +128,8 @@ def build_estimators(args, names) -> list[tuple[Estimator, Callable]]:
     if lam == np.inf:
         raise ValidationError("kr lambda must be finite, got inf")
     table = {
-        "bootstrap": (lambda snap: bootstrap(snap), lambda curve, snap: {
-            "estimator": "bootstrap",
-            "knot_times": list(curve.knot_times),
-            "knot_yields": list(curve.knot_yields),
-            "diagnostics": list(curve.diagnostics),
-        }),
+        "bootstrap": (lambda snap: bootstrap(snap),
+                      lambda curve, snap: {"estimator": "bootstrap", **asdict(curve)}),
         # the objective is curve-level fit quality; the parameters themselves may not be unique
         "nss": (lambda snap: NssCurve(fit_nss(snap, nss)), lambda curve, snap: {
             "estimator": "nss", "params": asdict(curve.params), "objective": nss_objective(snap, curve.params),
@@ -332,7 +329,7 @@ def _stability(args, snapshots, estimator: Estimator) -> _Outcome:
         for bucket, rate in result.hit_rate.items()
     )
     summary = (f"stability {estimator.name} over {len(snapshots)} days, "
-               f"hit rate @ {args.threshold * 1e4:.0f} bp: {rates}")
+               f"hit rate @ {args.threshold * 1e4:g} bp: {rates}")
     provenance = {"threshold": args.threshold, "days": len(snapshots)}
     return _Outcome({"hit_rate": result.hit_rate["Full"]}, details, provenance,
                     n_failed=len(result.skipped), summary=summary, per_bucket=per_bucket)
@@ -494,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     stab = exp_sub.add_parser("stability", help="day-over-day curve stability")
     stab.add_argument("snapshots", nargs="+", help="date-ordered snapshot files")
-    stab.add_argument("--threshold", type=float, default=0.0010, help="hit-rate threshold (decimal)")
+    stab.add_argument("--threshold", type=float, default=DEFAULT_HIT_RATE_THRESHOLD,
+                      help="hit-rate threshold (decimal)")
     common(stab)
 
     loo = exp_sub.add_parser("loo", help="leave-one-out yield accuracy by bucket")

@@ -26,7 +26,7 @@ class SingularSystemError(CurveKitError):
 
 
 class DivergenceError(CurveKitError):
-    """Network training produced a non-finite loss."""
+    """Network training produced a non-finite loss or a curve that left the yield bracket."""
 
     def __init__(self, message: str, epoch: int, bond_index: int):
         super().__init__(message)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -29,10 +29,6 @@ from .pricing import YieldCurve, yield_to_maturity
 
 # Standard tenor grid: 1D, 1W, 2W, then months to 21M, years to 10Y, and
 # 12/15/20/25/30Y. Days convert at 1/365, months at 1/12.
-TENOR_LABELS = (
-    "1D", "1W", "2W", "1M", "2M", "3M", "6M", "9M", "12M", "15M", "18M", "21M",
-    "2Y", "3Y", "4Y", "5Y", "6Y", "7Y", "8Y", "9Y", "10Y", "12Y", "15Y", "20Y", "25Y", "30Y",
-)
 DEFAULT_TENORS = (
     1 / 365, 7 / 365, 14 / 365, 1 / 12, 2 / 12, 3 / 12, 6 / 12, 9 / 12, 12 / 12,
     15 / 12, 18 / 12, 21 / 12, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0,
@@ -155,22 +151,22 @@ def _check_n_mc(n_mc: int) -> None:
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
 
 
-def _base_fit(snapshot: MarketSnapshot, estimator: Estimator, grid) -> np.ndarray:
+def _base_fit(snapshot: MarketSnapshot, estimator: Estimator) -> np.ndarray:
     """Grid yields of the reference curve that every replicate is compared with.
 
     A failure to fit or to evaluate it ends the experiment, so it is raised
     as a compute failure even when the estimator rejected the snapshot as
     invalid input.
     """
-    ys, exc = refit(estimator, snapshot, lambda curve: curve_yields(curve, grid))
+    ys, exc = refit(estimator, snapshot, lambda curve: curve_yields(curve, DEFAULT_TENORS))
     if exc is not None:
         raise FitFailureError(str(exc)) from exc
     return ys
 
 
-def _curve_move(estimator: Estimator, replicate: MarketSnapshot, base: np.ndarray, grid):
+def _curve_move(estimator: Estimator, replicate: MarketSnapshot, base: np.ndarray):
     """RMSE and MAD of a replicate fit's grid yields against ``base``, and the error of a failed fit."""
-    ys, exc = refit(estimator, replicate, lambda curve: curve_yields(curve, grid))
+    ys, exc = refit(estimator, replicate, lambda curve: curve_yields(curve, DEFAULT_TENORS))
     if exc is not None:
         return None, None, str(exc)
     return _rmse(base, ys), _mad(base, ys), None
@@ -189,7 +185,6 @@ def perturb_price_experiment(
     estimator: Estimator,
     bond_id: str,
     bumps,
-    grid=TenorGrid(),
 ) -> list[PerturbRow]:
     """Refit after bumping one bond's price and measure the curve movement.
 
@@ -204,7 +199,7 @@ def perturb_price_experiment(
         raise ValidationError(f"bumps must be > -1 so the bumped price stays positive, got {bumps}")
     if not all(math.isfinite(price * (1.0 + bump)) for bump in bumps):
         raise ValidationError(f"bumps must keep bond {bond_id}'s price {price!r} finite, got {bumps}")
-    base = _base_fit(snapshot, estimator, grid)
+    base = _base_fit(snapshot, estimator)
     rows = []
     for bump in bumps:
         bumped = replace(snapshot, bonds=(
@@ -212,7 +207,7 @@ def perturb_price_experiment(
             if b.id == bond_id else b
             for b in snapshot.bonds
         ))
-        rows.append(PerturbRow(float(bump), *_curve_move(estimator, bumped, base, grid)))
+        rows.append(PerturbRow(float(bump), *_curve_move(estimator, bumped, base)))
     return rows
 
 
@@ -239,7 +234,6 @@ def drop_bonds_experiment(
     drop_counts,
     n_mc: int,
     seed: int = 0,
-    grid=TenorGrid(),
 ) -> list[DropRow]:
     """Random bond removal, averaged over Monte Carlo replications.
 
@@ -254,7 +248,7 @@ def drop_bonds_experiment(
     if any(c >= n for c in drop_counts):
         raise ValidationError(f"drop counts must be < number of bonds ({n})")
     _check_n_mc(n_mc)
-    base = _base_fit(snapshot, estimator, grid)
+    base = _base_fit(snapshot, estimator)
     ids = [b.id for b in snapshot.bonds]
     rows = []
     for count in drop_counts:
@@ -266,7 +260,7 @@ def drop_bonds_experiment(
                 rng = np.random.default_rng([seed, int(count), rep])
                 dropped = tuple(sorted(str(ids[i]) for i in rng.choice(n, size=int(count), replace=False)))
             reduced = replace(snapshot, bonds=(b for b in snapshot.bonds if b.id not in dropped))
-            reps.append(DropReplication(dropped, *_curve_move(estimator, reduced, base, grid)))
+            reps.append(DropReplication(dropped, *_curve_move(estimator, reduced, base)))
         ok = [r for r in reps if r.error is None]
         rows.append(
             DropRow(
@@ -293,7 +287,6 @@ class StabilityResult:
 def stability_experiment(
     snapshots,
     estimator: Estimator,
-    grid=TenorGrid(),
     threshold: float = DEFAULT_HIT_RATE_THRESHOLD,
 ) -> StabilityResult:
     """Day-over-day curve stability across an ordered snapshot sequence.
@@ -308,7 +301,7 @@ def stability_experiment(
         raise ValidationError("stability needs at least 2 snapshots")
     if not (0 <= threshold < math.inf):
         raise ValidationError(f"threshold must be finite and >= 0, got {threshold}")
-    tenors = _tenor_array(grid)
+    tenors = _tenor_array(DEFAULT_TENORS)
     fixed = np.array(list(FIXED_SERIES_TENORS.values()))
     curves: list[YieldCurve | None] = []
     grid_yields: list[np.ndarray | None] = []  # a bucket's values are a slice of them
@@ -454,14 +447,7 @@ class EvaluationReport:
             raise ValidationError(f"hit_rate must lie in [0, 1], got {hr}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "experiment": self.experiment,
-            "metrics": self.metrics,
-            "per_bucket": self.per_bucket,
-            "provenance": self.provenance,
-            "details": self.details,
-        }
+        return asdict(self)
 
     def to_csv_rows(self) -> list[tuple]:
         seed = self.provenance.get("seed", "")

@@ -141,7 +141,8 @@ def _kr_system(snapshot: MarketSnapshot, kernel_params: KernelParams) -> tuple:
     """The fit's layout on ``snapshot``: anchor times, C, K, weights w, prices."""
     bonds = list(snapshot.bonds)
     anchor_times, C = cashflow_matrix(bonds, tol=_ANCHOR_TOL)
-    K = kernel_matrix(anchor_times, kernel_params)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing K is fit_kr's error to report
+        K = kernel_matrix(anchor_times, kernel_params)
     return anchor_times, C, K, duration_price_weights(bonds), np.array([b.market_price for b in bonds])
 
 

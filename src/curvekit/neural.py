@@ -36,14 +36,14 @@ bits on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .evaluation import DEFAULT_TENORS, TenorGrid
 from .market import BenchmarkCurve, MarketSnapshot, sort_bonds
-from .pricing import YieldCurve, cashflow_schedule, yield_to_maturity
+from .pricing import YTM_BRACKET, YieldCurve, cashflow_schedule, yield_to_maturity
 
 _REGULARIZER_MODES = ("per_bond", "per_epoch")
 
@@ -347,7 +347,8 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
     penalties once after each full sweep. The output bias starts at the mean
     flat yield of the snapshot so the network learns shape, not level.
     Raises DivergenceError (with epoch and bond index) if a step loss turns
-    non-finite.
+    non-finite, or if the trained curve's yield at a bond maturity is not
+    finite or leaves ``YTM_BRACKET``, the range every flat yield lies in.
 
     The step works on one packed vector theta = [w | b | v] (c stays a
     float), updated in place. Every step kind is one ``_step`` over a
@@ -405,6 +406,16 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
             f"training diverged: non-finite total loss after epoch {config.epochs - 1}",
             epoch=config.epochs - 1, bond_index=len(passes) - 1,
         )
+    lo, hi = YTM_BRACKET
+    bonds = sort_bonds(snapshot.bonds)
+    at_maturities = nn_yield(params, np.array([b.maturity for b in bonds])).tolist()
+    for j, (bond, y) in enumerate(zip(bonds, at_maturities)):
+        if not lo <= y <= hi:
+            raise DivergenceError(
+                f"training diverged: yield {y:.6g} at the maturity of bond {bond.id} "
+                f"lies outside [{lo}, {hi}]",
+                epoch=config.epochs - 1, bond_index=j,
+            )
     return params
 
 
@@ -414,26 +425,13 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
 
 def nn_to_dict(params: NnParams, config: TrainConfig | None = None) -> dict:
     """JSON-ready dict {H, w, b, v, c, config_echo}; floats keep full precision."""
-    echo = None
-    if config is not None:
-        echo = {
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "gamma1": config.gamma1,
-            "gamma2": config.gamma2,
-            "grid": list(config.grid),
-            "seed": config.seed,
-            "init_scale": config.init_scale,
-            "hidden_count": config.hidden_count,
-            "regularizer": config.regularizer,
-        }
     return {
         "H": params.hidden_count,
         "w": list(params.w),
         "b": list(params.b),
         "v": list(params.v),
         "c": params.c,
-        "config_echo": echo,
+        "config_echo": None if config is None else asdict(config),
     }
 
 

@@ -23,20 +23,20 @@ every call.
 Operation order is part of the behaviour. Yields and durations weight every
 fitter's price errors, and the fitters chain them into simplex trajectories
 and SGD steps where a last-bit difference grows into a different curve. So
-the records and the bootstrap's per-step kernel compute every value with the
-floating-point operations of the direct formulas, in the same order;
-``tests/test_pricing_kernel.py`` keeps those formulas as the oracle.
+one kernel (``_pv_kernel``) prices every flat rate, duration and bootstrap
+candidate with the floating-point operations of the direct formula, in the
+same order; ``tests/test_pricing_kernel.py`` keeps that formula as the oracle.
 
-Both root solves (flat yields and bootstrap knots) bisect, and both first
-fence the root with a few tangent steps. A point the tangent steps evaluate
-with an excess over the price beyond twice the tolerance is a certificate:
-present value is strictly decreasing in the rate and its evaluation error
-(about 1e-14 of the price) is far below the tolerance (1e-10 of it), so every
-midpoint on the far side of that point would evaluate beyond the tolerance
-with the same sign. The bisection takes those midpoints' known branch
-without evaluating them and returns the same float as the plain bisection,
-bit for bit (``_bisect``; ``tests/test_bisect.py`` keeps the plain loop as
-its oracle).
+Both root solves (flat yields and bootstrap knots) bisect on that kernel,
+and both first fence the root with a few tangent steps. A point the tangent
+steps evaluate with an excess over the price beyond twice the tolerance is a
+certificate: present value is strictly decreasing in the rate and its
+evaluation error (about 1e-14 of the price) is far below the tolerance
+(1e-10 of it), so every midpoint on the far side of that point would
+evaluate beyond the tolerance with the same sign. The bisection takes those
+midpoints' known branch without evaluating them and returns the same float
+as the plain bisection, bit for bit (``_bisect``; ``tests/test_bisect.py``
+keeps the plain loop as its oracle).
 """
 
 from __future__ import annotations
@@ -173,8 +173,27 @@ def present_value(curve: YieldCurve, bond: Bond) -> float:
     return float(amounts @ np.exp(-times * curve.yields(times)))
 
 
-def _pv_flat(times: np.ndarray, amounts: np.ndarray, rate: float) -> float:
-    return float(np.add.reduce(amounts * np.exp(-times * rate)))
+def _pv_kernel(times: np.ndarray, amounts: np.ndarray, dr_dy=1.0):
+    """``pv(r)``: ``sum(amounts * exp(-times * r))`` with that formula's operations, in its order.
+
+    ``r`` is a scalar rate or one rate per cashflow. ``pv.disc`` is the buffer
+    of discounted cashflows at the last ``r``. ``pv.slope(_)``, called right
+    after ``pv``, is that buffer dotted with ``-times * dr_dy``, where
+    ``dr_dy`` is the derivative of each cashflow's rate in the solve's unknown.
+    """
+    neg_times = -times
+    neg_t_dr = neg_times * dr_dy
+    disc = np.empty(len(times))
+
+    def pv(r) -> float:
+        np.multiply(neg_times, r, out=disc)
+        np.exp(disc, out=disc)
+        np.multiply(amounts, disc, out=disc)
+        return float(np.add.reduce(disc))
+
+    pv.disc = disc
+    pv.slope = lambda _: float(disc @ neg_t_dr)
+    return pv
 
 
 def _bisect(excess, tol: float, width: float, slope, guess: float) -> tuple[float, float] | None:
@@ -274,19 +293,19 @@ def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what:
     Bisection on the bracket, with a Newton polish once the residual is small.
     PV is strictly decreasing in the rate so the bracket test is exact.
     """
-    weighted = times * amounts
+    pv = _pv_kernel(times, amounts)
     root = _bisect(
-        lambda r: _pv_flat(times, amounts, r) - price,
+        lambda r: pv(r) - price,
         _PRICE_TOL_REL * price,
         1e-15,
-        slope=lambda r: -float(weighted @ np.exp(-times * r)),
+        slope=pv.slope,
         guess=_flat_guess(times, amounts, price),
     )
     if root is None:
         lo, hi = YTM_BRACKET
         raise NoSolutionError(
             f"{what}: price {price} outside attainable range "
-            f"[{_pv_flat(times, amounts, hi):.6f}, {_pv_flat(times, amounts, lo):.6f}] "
+            f"[{pv(hi):.6f}, {pv(lo):.6f}] "
             f"for rates in [{lo}, {hi}]"
         )
     # Newton polish well past the contract tolerance; dPV/dr = -sum(t cf e^(-t r))
@@ -301,7 +320,7 @@ def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what:
         if deriv == 0:
             break
         rate -= resid / deriv
-        resid = _pv_flat(times, amounts, rate) - price
+        resid = pv(rate) - price
     return best_rate
 
 
@@ -320,9 +339,9 @@ def macaulay_duration(bond: Bond) -> float:
     """PV-weighted average payment time at the bond's own flat yield."""
     record = _record(bond)
     if record.duration is None:
-        ytm = _yield(bond, record)
-        disc = record.amounts * np.exp(-record.times * ytm)
-        record.duration = float(np.sum(record.times * disc) / np.sum(disc))
+        pv = _pv_kernel(record.times, record.amounts)
+        total = pv(_yield(bond, record))
+        record.duration = float(np.add.reduce(record.times * pv.disc)) / total
     return record.duration
 
 
@@ -348,47 +367,6 @@ def forward_rate(curve: YieldCurve, t: float, h: float = 1e-4) -> float:
     return y_t + t * ((y_hi - y_lo) / (2.0 * h))
 
 
-def _candidate_pv(times: np.ndarray, amounts: np.ndarray, knot_t: np.ndarray, knot_y: np.ndarray):
-    """``pv(y)``: present value of the cashflows under the knots with ``knot_y[-1] = y``.
-
-    ``knot_t`` and ``knot_y`` hold the placed knots followed by the slot of the
-    bond being solved; ``pv`` writes each candidate into ``knot_y[-1]``. The
-    cashflows at or before the last placed knot do not depend on the
-    candidate, so they are discounted once into a buffer; each call
-    recomputes only the cashflows after that knot, in place, and sums the
-    whole buffer. The elements and the summation order are those of
-    ``sum(amounts * exp(-times * interp(times, knot_t, knot_y)))``, so every
-    value is bit-identical to it.
-
-    ``pv.slope(y)`` is ``dpv/dy`` at ``y`` right after ``pv(y)``: one dot
-    product of the tail buffer with ``-t * dr/dy``, where the rate of a tail
-    cashflow moves with the candidate by its interpolation weight
-    ``(t - t_last) / (t_new - t_last)``, or 1 past the new knot and for the
-    first knot.
-    """
-    n = len(knot_t) - 1
-    # coupon times increase and the bond matures past the last placed knot,
-    # so the cashflows that see the candidate are a suffix
-    k = int(np.count_nonzero(times <= knot_t[n - 1])) if n else 0
-    disc = np.empty(len(times))
-    if k:
-        head = times[:k]
-        disc[:k] = amounts[:k] * np.exp(-head * np.interp(head, knot_t[:n], knot_y[:n]))
-    tail_t, neg_tail_t, tail_a, tail = times[k:], -times[k:], amounts[k:], disc[k:]
-    weight = np.minimum((tail_t - knot_t[n - 1]) / (knot_t[n] - knot_t[n - 1]), 1.0) if n else 1.0
-    neg_tail_tw = neg_tail_t * weight
-
-    def pv(y: float) -> float:
-        knot_y[-1] = y
-        np.multiply(neg_tail_t, np.interp(tail_t, knot_t, knot_y), out=tail)
-        np.exp(tail, out=tail)
-        np.multiply(tail_a, tail, out=tail)
-        return float(np.add.reduce(disc))
-
-    pv.slope = lambda y: float(tail @ neg_tail_tw)
-    return pv
-
-
 def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
     """Sequential exact-fit curve: one knot per bond, shortest maturity first.
 
@@ -403,8 +381,7 @@ def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
 
     Bonds that cannot be repriced inside the bracket, and bonds sharing a
     maturity with an already-placed knot, are skipped and reported in the
-    curve's diagnostics. A bisection step recomputes only the cashflows
-    that see the candidate (``_candidate_pv``).
+    curve's diagnostics.
     """
     bonds = sort_bonds(snapshot.bonds)
     # placed knots in [:n]; slot n holds the bond being solved and its candidate
@@ -421,10 +398,17 @@ def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
             continue
         ts[n] = bond.maturity
         times, amounts = cashflow_schedule(bond)
-        pv = _candidate_pv(times, amounts, ts[: n + 1], ys[: n + 1])
+        # a cashflow's rate moves with the candidate by its interpolation weight
+        dr_dy = np.clip((times - ts[n - 1]) / (ts[n] - ts[n - 1]), 0.0, 1.0) if n else 1.0
+        pv = _pv_kernel(times, amounts, dr_dy)
         price = bond.market_price
         guess = float(ys[n - 1]) if n else _flat_guess(times, amounts, price)
-        root = _bisect(lambda y: pv(y) - price, _PRICE_TOL_REL * price, 1e-16, slope=pv.slope, guess=guess)
+
+        def excess(y: float) -> float:
+            ys[n] = y
+            return pv(np.interp(times, ts[: n + 1], ys[: n + 1])) - price
+
+        root = _bisect(excess, _PRICE_TOL_REL * price, 1e-16, slope=pv.slope, guess=guess)
         if root is None:
             lo, hi = YTM_BRACKET
             diagnostics.append(f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {price}; skipped")

@@ -50,28 +50,31 @@ def ref_bisect(excess, tol: float, width: float) -> float | None:
 LO, HI = YTM_BRACKET
 
 
-def flat_pv(rng):
-    """A random bond's flat PV and its derivative in the rate."""
-    n = int(rng.integers(1, 40))
-    times = np.sort(rng.uniform(0.05, 30.0, n))
-    amounts = rng.uniform(0.1, 6.0, n)
-    amounts[-1] += 100.0
-    return (lambda r: pricing._pv_flat(times, amounts, r),
-            lambda r: -float((times * amounts) @ np.exp(-times * r)))
+def random_pv(rng, flat: bool):
+    """A random bond's PV in one unknown, and its slope, on ``pricing._pv_kernel``.
 
-
-def candidate_pv(rng):
-    """The bootstrap's candidate PV of a random bond after random placed knots."""
-    n_knots = int(rng.integers(0, 8))
-    knot_t = np.sort(rng.uniform(0.1, 10.0, n_knots)) if n_knots else np.empty(0)
-    maturity = (knot_t[-1] if n_knots else 0.0) + rng.uniform(0.05, 15.0)
-    times = np.append(np.sort(rng.uniform(0.05, maturity, int(rng.integers(0, 30)))), maturity)
+    The unknown is a flat rate, as in the yield solve, or the bootstrap's
+    candidate knot after random placed knots, with the rates and ``dr_dy``
+    that ``pricing.bootstrap`` gives the kernel.
+    """
+    n_knots = 0 if flat else int(rng.integers(0, 8))
+    knot_t = np.sort(rng.uniform(0.1, 10.0, n_knots))
+    maturity = (knot_t[-1] if n_knots else 0.0) + rng.uniform(0.05, 20.0)
+    times = np.append(np.sort(rng.uniform(0.05, maturity, int(rng.integers(0, 40)))), maturity)
     amounts = rng.uniform(0.1, 6.0, len(times))
     amounts[-1] += 100.0
-    ts = np.append(knot_t, maturity)
-    ys = np.append(rng.uniform(-0.05, 0.2, n_knots), 0.0)
-    pv = pricing._candidate_pv(times, amounts, ts, ys)
-    return pv, pv.slope
+    if flat:
+        pv = pricing._pv_kernel(times, amounts)
+        return pv, pv.slope
+    ts, ys = np.append(knot_t, maturity), np.append(rng.uniform(-0.05, 0.2, n_knots), 0.0)
+    dr_dy = np.clip((times - knot_t[-1]) / (maturity - knot_t[-1]), 0.0, 1.0) if n_knots else 1.0
+    pv = pricing._pv_kernel(times, amounts, dr_dy)
+
+    def candidate(y):
+        ys[-1] = y
+        return pv(np.interp(times, ts, ys))
+
+    return candidate, pv.slope
 
 
 def random_price(rng, pv):
@@ -122,7 +125,7 @@ class TestCertifiedBisection:
         rng = np.random.default_rng(2024)
         outcomes = set()
         for case in range(self.CASES):
-            pv, slope = candidate_pv(rng) if case % 3 == 0 else flat_pv(rng)
+            pv, slope = random_pv(rng, flat=case % 3 != 0)
             price = random_price(rng, pv)
             tol = _PRICE_TOL_REL * price
             width = 1e-16 if case % 2 else 1e-15
@@ -154,7 +157,7 @@ class TestCertifiedBisection:
     def test_a_slope_that_lies_cannot_move_the_result(self):
         # a decreasing excess whose slope callback points the tangent steps anywhere
         rng = np.random.default_rng(5)
-        pv, _ = flat_pv(rng)
+        pv, _ = random_pv(rng, flat=True)
         price = pv(0.037)
         excess = lambda r: pv(r) - price  # noqa: E731
         expected = ref_bisect(excess, _PRICE_TOL_REL * price, 1e-15).hex()
@@ -164,23 +167,42 @@ class TestCertifiedBisection:
                 assert got.hex() == expected
 
 
+class TestKernelSlope:
+    def test_slope_is_the_derivative_in_the_unknown(self):
+        # the slope steers only the tangent steps, so a wrong one shows in the
+        # evaluation counts alone; check it against a central difference
+        rng = np.random.default_rng(11)
+        h = 1e-6
+        for case in range(400):
+            pv, slope = random_pv(rng, flat=case % 2 == 0)
+            y = float(rng.uniform(-0.05, 0.3))
+            pv(y)
+            assert slope(y) == pytest.approx((pv(y + h) - pv(y - h)) / (2 * h), rel=1e-5), case
+
+
+def counting_kernel(monkeypatch) -> list:
+    """Record every present value the one kernel computes, in the returned list."""
+    calls = []
+    make_pv = pricing._pv_kernel
+
+    def counting(*args):
+        pv = make_pv(*args)
+
+        def counted(r):
+            calls.append(r)
+            return pv(r)
+
+        counted.disc, counted.slope = pv.disc, pv.slope
+        return counted
+
+    monkeypatch.setattr(pricing, "_pv_kernel", counting)
+    return calls
+
+
 class TestBootstrapEvaluations:
     def test_falling_60_day_needs_at_most_8_candidate_pvs_per_knot(self, monkeypatch):
         snap = generate_scenario(ScenarioSpec(regime="falling", n_bonds=60, price_noise_sd=0.002, seed=100))
-        calls = []
-        make_pv = pricing._candidate_pv
-
-        def counting_candidate_pv(*args):
-            pv = make_pv(*args)
-
-            def counted(y):
-                calls.append(y)
-                return pv(y)
-
-            counted.slope = pv.slope
-            return counted
-
-        monkeypatch.setattr(pricing, "_candidate_pv", counting_candidate_pv)
+        calls = counting_kernel(monkeypatch)
         curve = bootstrap(snap)
         assert len(curve.knot_times) == 60 and not curve.diagnostics
         # plain bisection needs about 34 per knot on this day
@@ -192,14 +214,7 @@ class TestFlatSolveEvaluations:
         # the Newton polish starts from the excess the bisection returns with
         # the root, instead of evaluating the flat PV there again
         snap = generate_scenario(ScenarioSpec(regime="falling", n_bonds=60, price_noise_sd=0.002, seed=7))
-        calls = []
-        pv_flat = pricing._pv_flat
-
-        def counting_pv_flat(times, amounts, rate):
-            calls.append(rate)
-            return pv_flat(times, amounts, rate)
-
-        monkeypatch.setattr(pricing, "_pv_flat", counting_pv_flat)
+        calls = counting_kernel(monkeypatch)
         for bond in snap.bonds:
             times, amounts = pricing.cashflow_schedule(bond)
             pricing._solve_flat_rate(times, amounts, bond.market_price, bond.id)

@@ -173,11 +173,25 @@ class TestFit:
         assert run(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_kr_kernel_exits_four(self, workdir, capsys):
+        # the overflow is reported once, as the failed fit, and no numpy warning reaches stderr
         path = generate_day(workdir)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert run(["fit", str(path), "--estimator", "kr", "--kr-b", "1e-8"]) == 4
-        assert "kernel matrix is not finite" in capsys.readouterr().err
+        assert run(["fit", str(path), "--estimator", "kr", "--kr-b", "1e-8"]) == 4
+        assert capsys.readouterr().err == (
+            "fit failed: kernel matrix is not finite for a=1.0, b=1e-08; raise b or lower a\n")
+
+    def test_curve_that_leaves_the_yield_bracket_is_a_failed_fit(self, workdir, capsys):
+        # every loss stays finite, but the trained curve sits at 1.87e14 at every tenor
+        path = generate_day(workdir)
+        argv = ["fit", str(path), "--estimator", "nn", "--nn-lr", "1e-3",
+                "--nn-regularizer", "per_epoch", "--nn-epochs", "30"]
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"fit failed: training diverged: yield 1\.87\d*e\+14 at the maturity of bond B\d+ "
+                            r"lies outside \[-0\.1, 1\.0\]\n", err), err
+        assert not (workdir / "day.nn.model.json").exists()
+        assert not (workdir / "day.nn.samples.csv").exists()
 
     def test_curve_that_cannot_be_evaluated_is_a_failed_fit(self, workdir, capsys):
         path = unevaluable_kr_day(workdir)
@@ -259,6 +273,12 @@ class TestExperiments:
         report = json.loads((workdir / "rep.stability.bootstrap.json").read_text())
         assert report["metrics"]["hit_rate"] is not None
         assert set(report["per_bucket"]) == {"Full", "<2Y", "2Y-10Y", ">10Y"}
+
+    def test_stability_summary_prints_a_sub_basis_point_threshold(self, workdir, capsys):
+        paths = [str(generate_day(workdir, f"d{i}.json", bonds=8, seed=70 + i)) for i in range(2)]
+        code = run(["experiment", "stability", *paths, "--estimators", "bootstrap", "--threshold", "0.00004"])
+        assert code == 0
+        assert "hit rate @ 0.4 bp: " in capsys.readouterr().out
 
     def test_loo_report_shape(self, workdir):
         path = generate_day(workdir, bonds=12)

@@ -129,6 +129,7 @@ def run_case(argv, mutation) -> int:
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             warnings.simplefilter("ignore")
+            warnings.simplefilter("error", RuntimeWarning)  # a numpy warning would leak to the terminal
             return main(filled)
 
 

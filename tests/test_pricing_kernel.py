@@ -1,12 +1,12 @@
-"""Bit-identity of the memoised bond analytics and the bootstrap's tail kernel.
+"""Bit-identity of the memoised bond analytics and the present-value kernel.
 
 Yields and durations weight every fitter's price errors and the bootstrap is
-the pricing oracle, so the memoised records and the per-step bootstrap kernel
-must reproduce the direct formulas exactly, not just closely. The reference
-below is those formulas, kept verbatim (renamed with a ``ref_`` prefix) as
-the oracle. The memo tests check what the cache promises: value-equal bonds
-share values, failures are never cached, cached arrays are read-only, and a
-record lives only as long as its bond.
+the pricing oracle, so the memoised records and the one present-value kernel
+under both root solves must reproduce the direct formulas exactly, not just
+closely. The reference below is those formulas, kept verbatim (renamed with
+a ``ref_`` prefix) as the oracle. The memo tests check what the cache
+promises: value-equal bonds share values, failures are never cached, cached
+arrays are read-only, and a record lives only as long as its bond.
 """
 
 import gc
@@ -298,7 +298,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("day", DAYS)
     def test_candidate_pv_equals_reference(self, day):
-        # every bond against random earlier knots, at random candidates and both bracket ends
+        # the one kernel, for every bond: under random earlier knots at random
+        # candidates and both bracket ends, and at the same values as flat rates
         rng = np.random.default_rng(21)
         knot_times, knot_yields = [], []
         for bond in sort_bonds(DAYS[day]().bonds):
@@ -306,10 +307,12 @@ class TestOracle:
                 continue
             times, amounts = cashflow_schedule(bond)
             ts, ys = np.array(knot_times + [bond.maturity]), np.array(knot_yields + [0.0])
-            pv = pricing._candidate_pv(times, amounts, ts, ys)
+            pv = pricing._pv_kernel(times, amounts)
             for y in [*YTM_BRACKET, *rng.uniform(*YTM_BRACKET, size=30)]:
+                ys[-1] = y
                 ref = ref_candidate_pv(times, amounts, knot_times, knot_yields, bond.maturity, float(y))
-                assert pv(float(y)).hex() == ref.hex(), (bond.id, y)
+                assert pv(np.interp(times, ts, ys)).hex() == ref.hex(), (bond.id, y)
+                assert pv(float(y)).hex() == ref_pv_flat(times, amounts, float(y)).hex(), (bond.id, y)
             knot_times.append(bond.maturity)
             knot_yields.append(float(rng.uniform(-0.02, 0.08)))
 
