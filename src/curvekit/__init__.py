@@ -36,6 +36,7 @@ from .evaluation import (
 from .kernelridge import (
     KernelParams,
     KrCurve,
+    KrLayout,
     KrModel,
     fit_kr,
     kernel_matrix,
@@ -69,6 +70,7 @@ from .neural import (
 )
 from .nss import NssCurve, NssFitConfig, NssParams, fit_nss, nss_forward, nss_yield
 from .pricing import (
+    BootstrapBase,
     BootstrapCurve,
     FlatCurve,
     OffsetCurve,

@@ -23,6 +23,7 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -42,11 +43,11 @@ from .evaluation import (
     stability_experiment,
     write_report,
 )
-from .kernelridge import KernelParams, KrCurve, fit_kr
+from .kernelridge import KernelParams, KrCurve, KrLayout, fit_kr
 from .market import ScenarioSpec, generate_scenario, load_snapshot, save_snapshot, sort_bonds
 from .neural import NnCurve, TrainConfig, nn_to_dict, train
 from .nss import NssCurve, NssFitConfig, fit_nss, nss_objective
-from .pricing import bootstrap
+from .pricing import BootstrapBase, bootstrap
 
 ESTIMATOR_NAMES = ("bootstrap", "nss", "kr", "nn")
 
@@ -117,7 +118,9 @@ def build_estimators(args, names) -> list[tuple[Estimator, Callable]]:
     Every estimator's flags are checked, named or not, in one order (NSS,
     kernel, NN, then lambda), so a bad flag is an argument error before any
     file is read. The fits and writers call this module's names at call time,
-    so a wrapper installed on the module (the benchmark tracer's) sees them.
+    so a wrapper installed on the module (the benchmark tracer's) sees them;
+    a replicate fitted from its day's prepared work (``Estimator.reuse``)
+    still runs through this module's ``bootstrap`` or ``fit_kr``.
     """
     nss = NssFitConfig(starts=args.nss_starts, max_iter=args.nss_max_iter, seed=args.seed)
     kernel = KernelParams(a=args.kr_a, b=args.kr_b)
@@ -127,14 +130,22 @@ def build_estimators(args, names) -> list[tuple[Estimator, Callable]]:
         raise ValidationError(f"kr lambda must be > 0, got {lam}")
     if lam == np.inf:
         raise ValidationError("kr lambda must be finite, got inf")
+
+    def boot(snap, base=None):
+        return bootstrap(snap, base)
+
+    def kr(snap, layout=None):
+        return KrCurve(fit_kr(snap, lam, kernel, layout))
+
+    # (fit, reuse, writer); reuse binds a day's prepared work to the fit of its replicates
     table = {
-        "bootstrap": (lambda snap: bootstrap(snap),
+        "bootstrap": (boot, lambda day: partial(boot, base=BootstrapBase(day)),
                       lambda curve, snap: {"estimator": "bootstrap", **asdict(curve)}),
         # the objective is curve-level fit quality; the parameters themselves may not be unique
-        "nss": (lambda snap: NssCurve(fit_nss(snap, nss)), lambda curve, snap: {
+        "nss": (lambda snap: NssCurve(fit_nss(snap, nss)), None, lambda curve, snap: {
             "estimator": "nss", "params": asdict(curve.params), "objective": nss_objective(snap, curve.params),
         }),
-        "kr": (lambda snap: KrCurve(fit_kr(snap, lam, kernel)), lambda curve, snap: {
+        "kr": (kr, lambda day: partial(kr, layout=KrLayout(day, kernel)), lambda curve, snap: {
             "estimator": "kr",
             "lambda": curve.model.lam,
             "kernel": asdict(curve.model.kernel_params),
@@ -143,9 +154,9 @@ def build_estimators(args, names) -> list[tuple[Estimator, Callable]]:
             "objective": curve.model.objective,
             "price_error": curve.model.price_error,
         }),
-        "nn": (_nn_fit(nn), lambda curve, snap: {"estimator": "nn", **nn_to_dict(curve.params, nn)}),
+        "nn": (_nn_fit(nn), None, lambda curve, snap: {"estimator": "nn", **nn_to_dict(curve.params, nn)}),
     }
-    return [(Estimator(name, table[name][0]), table[name][1]) for name in names]
+    return [(Estimator(name, fit, reuse), writer) for name in names for fit, reuse, writer in [table[name]]]
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:

@@ -9,7 +9,11 @@ A metric evaluates a curve with one ``YieldCurve.yields`` call over its grid
 or bond maturities. ``refit`` is the one rule for what a fit is: the estimator
 fits and the caller's score is taken under one guard, so a fitted curve that
 cannot be evaluated or scored counts as a failed fit. Every protocol fit, and
-every fit of the command line, goes through it.
+every fit of the command line, goes through it; perturb, drop and
+leave-one-out refit their replicates of one day through ``refit_many``, which
+applies that guard to each replicate and lets an estimator reuse the day's
+work (``Estimator.fit_many``). The unperturbed day that perturb and drop
+compare against is their replicate 0.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -90,13 +95,36 @@ def curve_yields(curve: YieldCurve, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Estimator:
-    """A named curve estimator: ``fit`` maps a snapshot to a yield curve."""
+    """A named curve estimator: ``fit`` maps a snapshot to a yield curve.
+
+    ``reuse``, when given, maps a day to a fit for the replicates of that
+    day (snapshots holding some of its bonds, any of them possibly
+    repriced) that reuses the day's work and gives each replicate its
+    ``fit``'s curve, bit for bit.
+    """
 
     name: str
     fit: Callable[[MarketSnapshot], YieldCurve]
+    reuse: Callable[[MarketSnapshot], Callable[[MarketSnapshot], YieldCurve]] | None = None
+
+    def fit_many(self, base: MarketSnapshot, replicates: list[MarketSnapshot]) -> list[Callable[[], YieldCurve]]:
+        """One fit per replicate of ``base``, in the replicates' order, each run when called.
+
+        Without ``reuse``, or for a single replicate (where preparing the
+        day costs more than it saves), each is the replicate's own ``fit``.
+        """
+        fit = self.fit if self.reuse is None or len(replicates) < 2 else self.reuse(base)
+        return [partial(fit, replicate) for replicate in replicates]
 
 
 Score = TypeVar("Score")
+
+
+def _guarded(fit: Callable[[], YieldCurve], score: Callable[[YieldCurve], Score]):
+    try:
+        return score(fit()), None
+    except CurveKitError as exc:
+        return None, exc
 
 
 def refit(
@@ -107,10 +135,23 @@ def refit(
     A ``CurveKitError`` from the fit or from the score is a failed fit, so
     whatever a caller needs of the curve belongs inside ``score``.
     """
-    try:
-        return score(estimator.fit(snapshot)), None
-    except CurveKitError as exc:
-        return None, exc
+    return _guarded(partial(estimator.fit, snapshot), score)
+
+
+def refit_many(
+    estimator: Estimator,
+    base: MarketSnapshot,
+    replicates: list[MarketSnapshot],
+    score: Callable[[int, YieldCurve], Score],
+) -> Iterator[tuple[Score | None, CurveKitError | None]]:
+    """``refit`` of each replicate of ``base`` through ``Estimator.fit_many``, lazily.
+
+    Yields ``(score(i, curve), None)`` or ``(None, exc)`` for replicate i, in
+    order, fitting it only when asked for it; the one guard of ``refit``
+    decides each replicate's fate alone.
+    """
+    for i, fit in enumerate(estimator.fit_many(base, replicates)):
+        yield _guarded(fit, partial(score, i))
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +192,26 @@ def _check_n_mc(n_mc: int) -> None:
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
 
 
-def _base_fit(snapshot: MarketSnapshot, estimator: Estimator) -> np.ndarray:
-    """Grid yields of the reference curve that every replicate is compared with.
+def _grid_yields(_, curve: YieldCurve) -> np.ndarray:
+    return curve_yields(curve, DEFAULT_TENORS)
+
+
+def _base_yields(result) -> np.ndarray:
+    """Grid yields of the reference curve, replicate 0, that every other replicate is compared with.
 
     A failure to fit or to evaluate it ends the experiment, so it is raised
     as a compute failure even when the estimator rejected the snapshot as
     invalid input.
     """
-    ys, exc = refit(estimator, snapshot, lambda curve: curve_yields(curve, DEFAULT_TENORS))
+    ys, exc = result
     if exc is not None:
         raise FitFailureError(str(exc)) from exc
     return ys
 
 
-def _curve_move(estimator: Estimator, replicate: MarketSnapshot, base: np.ndarray):
+def _curve_move(base: np.ndarray, result):
     """RMSE and MAD of a replicate fit's grid yields against ``base``, and the error of a failed fit."""
-    ys, exc = refit(estimator, replicate, lambda curve: curve_yields(curve, DEFAULT_TENORS))
+    ys, exc = result
     if exc is not None:
         return None, None, str(exc)
     return _rmse(base, ys), _mad(base, ys), None
@@ -199,16 +244,17 @@ def perturb_price_experiment(
         raise ValidationError(f"bumps must be > -1 so the bumped price stays positive, got {bumps}")
     if not all(math.isfinite(price * (1.0 + bump)) for bump in bumps):
         raise ValidationError(f"bumps must keep bond {bond_id}'s price {price!r} finite, got {bumps}")
-    base = _base_fit(snapshot, estimator)
-    rows = []
-    for bump in bumps:
-        bumped = replace(snapshot, bonds=(
+    bumped = [
+        replace(snapshot, bonds=(
             Bond(b.id, b.cashflows, b.face_value, b.maturity, b.market_price * (1.0 + bump))
             if b.id == bond_id else b
             for b in snapshot.bonds
         ))
-        rows.append(PerturbRow(float(bump), *_curve_move(estimator, bumped, base)))
-    return rows
+        for bump in bumps
+    ]
+    results = refit_many(estimator, snapshot, [snapshot, *bumped], _grid_yields)
+    base = _base_yields(next(results))
+    return [PerturbRow(float(bump), *_curve_move(base, result)) for bump, result in zip(bumps, results)]
 
 
 @dataclass(frozen=True)
@@ -248,19 +294,24 @@ def drop_bonds_experiment(
     if any(c >= n for c in drop_counts):
         raise ValidationError(f"drop counts must be < number of bonds ({n})")
     _check_n_mc(n_mc)
-    base = _base_fit(snapshot, estimator)
     ids = [b.id for b in snapshot.bonds]
+
+    def drop_set(count: int, rep: int) -> tuple[str, ...]:
+        if count == 0:
+            return ()
+        rng = np.random.default_rng([seed, int(count), rep])
+        return tuple(sorted(str(ids[i]) for i in rng.choice(n, size=int(count), replace=False)))
+
+    drop_sets = [[drop_set(count, rep) for rep in range(n_mc)] for count in drop_counts]
+    reduced = [
+        replace(snapshot, bonds=(b for b in snapshot.bonds if b.id not in dropped))
+        for sets in drop_sets for dropped in sets
+    ]
+    results = refit_many(estimator, snapshot, [snapshot, *reduced], _grid_yields)
+    base = _base_yields(next(results))
     rows = []
-    for count in drop_counts:
-        reps = []
-        for rep in range(n_mc):
-            if count == 0:
-                dropped: tuple[str, ...] = ()
-            else:
-                rng = np.random.default_rng([seed, int(count), rep])
-                dropped = tuple(sorted(str(ids[i]) for i in rng.choice(n, size=int(count), replace=False)))
-            reduced = replace(snapshot, bonds=(b for b in snapshot.bonds if b.id not in dropped))
-            reps.append(DropReplication(dropped, *_curve_move(estimator, reduced, base)))
+    for count, sets in zip(drop_counts, drop_sets):
+        reps = [DropReplication(dropped, *_curve_move(base, next(results))) for dropped in sets]
         ok = [r for r in reps if r.error is None]
         rows.append(
             DropRow(
@@ -388,17 +439,18 @@ def loo_experiment(
         raise ValidationError(f"leave-one-out needs >= 2 bonds in the {where}, got {len(eligible)}")
 
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, len(eligible), size=n_mc)
-    reps = []
-    for pick in picks:
-        held = eligible[int(pick)]
-        reduced = replace(snapshot, bonds=(b for b in snapshot.bonds if b.id != held.id))
+    held = [eligible[int(pick)] for pick in rng.integers(0, len(eligible), size=n_mc)]
+    reduced = [replace(snapshot, bonds=(b for b in snapshot.bonds if b.id != h.id)) for h in held]
+
+    def score(i: int, curve: YieldCurve) -> float:
         # the held-out bond's flat yield is part of the score, so a bond without one fails the replicate
-        err, exc = refit(estimator, reduced,
-                         lambda curve: curve.yields(np.array([held.maturity]))[0] - yield_to_maturity(held))
-        bucket = bucket_of(held.maturity)
-        reps.append(LooReplication(held.id, bucket, None, str(exc)) if exc is not None
-                    else LooReplication(held.id, bucket, float(err**2)))
+        return curve.yields(np.array([held[i].maturity]))[0] - yield_to_maturity(held[i])
+
+    reps = []
+    for h, (err, exc) in zip(held, refit_many(estimator, snapshot, reduced, score)):
+        bucket = bucket_of(h.maturity)
+        reps.append(LooReplication(h.id, bucket, None, str(exc)) if exc is not None
+                    else LooReplication(h.id, bucket, float(err**2)))
 
     per_bucket = {}
     counts = {}

@@ -380,42 +380,44 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
     lr = config.learning_rate
     g = np.empty(3 * h)
     g3 = g.reshape(3, h)
-    for epoch in range(config.epochs):
-        for j, p in enumerate(passes):
-            step_loss, gc = _step(theta, v, c, p, pen, g3)
-            if not math.isfinite(step_loss):
-                raise DivergenceError(
-                    f"training diverged: non-finite loss at epoch {epoch}, bond {p.id}",
-                    epoch=epoch, bond_index=j,
-                )
-            theta -= lr * g
-            c = c - lr * gc
-        if grid is not None:
-            reg_loss, _ = _step(theta, v, c, grid, pen, g3)
-            if not math.isfinite(reg_loss):
-                raise DivergenceError(
-                    f"training diverged: non-finite penalty after epoch {epoch}",
-                    epoch=epoch, bond_index=len(passes) - 1,
-                )
-            theta -= lr * g
+    # a diverging step overflows on its way to the non-finite loss that reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for j, p in enumerate(passes):
+                step_loss, gc = _step(theta, v, c, p, pen, g3)
+                if not math.isfinite(step_loss):
+                    raise DivergenceError(
+                        f"training diverged: non-finite loss at epoch {epoch}, bond {p.id}",
+                        epoch=epoch, bond_index=j,
+                    )
+                theta -= lr * g
+                c = c - lr * gc
+            if grid is not None:
+                reg_loss, _ = _step(theta, v, c, grid, pen, g3)
+                if not math.isfinite(reg_loss):
+                    raise DivergenceError(
+                        f"training diverged: non-finite penalty after epoch {epoch}",
+                        epoch=epoch, bond_index=len(passes) - 1,
+                    )
+                theta -= lr * g
 
-    params = NnParams(w=tuple(theta3[0]), b=tuple(theta3[1]), v=tuple(theta3[2]), c=float(c))
-    final = total_loss(params, snapshot, config)
-    if not np.isfinite(final):
-        raise DivergenceError(
-            f"training diverged: non-finite total loss after epoch {config.epochs - 1}",
-            epoch=config.epochs - 1, bond_index=len(passes) - 1,
-        )
-    lo, hi = YTM_BRACKET
-    bonds = sort_bonds(snapshot.bonds)
-    at_maturities = nn_yield(params, np.array([b.maturity for b in bonds])).tolist()
-    for j, (bond, y) in enumerate(zip(bonds, at_maturities)):
-        if not lo <= y <= hi:
+        params = NnParams(w=tuple(theta3[0]), b=tuple(theta3[1]), v=tuple(theta3[2]), c=float(c))
+        final = total_loss(params, snapshot, config)
+        if not np.isfinite(final):
             raise DivergenceError(
-                f"training diverged: yield {y:.6g} at the maturity of bond {bond.id} "
-                f"lies outside [{lo}, {hi}]",
-                epoch=config.epochs - 1, bond_index=j,
+                f"training diverged: non-finite total loss after epoch {config.epochs - 1}",
+                epoch=config.epochs - 1, bond_index=len(passes) - 1,
             )
+        lo, hi = YTM_BRACKET
+        bonds = sort_bonds(snapshot.bonds)
+        at_maturities = nn_yield(params, np.array([b.maturity for b in bonds])).tolist()
+        for j, (bond, y) in enumerate(zip(bonds, at_maturities)):
+            if not lo <= y <= hi:
+                raise DivergenceError(
+                    f"training diverged: yield {y:.6g} at the maturity of bond {bond.id} "
+                    f"lies outside [{lo}, {hi}]",
+                    epoch=config.epochs - 1, bond_index=j,
+                )
     return params
 
 

@@ -367,7 +367,61 @@ def forward_rate(curve: YieldCurve, t: float, h: float = 1e-4) -> float:
     return y_t + t * ((y_hi - y_lo) / (2.0 * h))
 
 
-def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
+def _place_knot(bond: Bond, ts: np.ndarray, ys: np.ndarray, n: int, diagnostics: list[str]) -> int:
+    """Solve ``bond``'s knot into slot ``n`` after the ``n`` placed knots; the new knot count.
+
+    A skipped bond leaves the count as it was and appends why to ``diagnostics``.
+    """
+    if n and abs(bond.maturity - ts[n - 1]) <= 1e-9:
+        diagnostics.append(f"bond {bond.id}: maturity {bond.maturity} duplicates an existing knot; skipped")
+        return n
+    ts[n] = bond.maturity
+    times, amounts = cashflow_schedule(bond)
+    # a cashflow's rate moves with the candidate by its interpolation weight
+    dr_dy = np.clip((times - ts[n - 1]) / (ts[n] - ts[n - 1]), 0.0, 1.0) if n else 1.0
+    pv = _pv_kernel(times, amounts, dr_dy)
+    price = bond.market_price
+    guess = float(ys[n - 1]) if n else _flat_guess(times, amounts, price)
+
+    def excess(y: float) -> float:
+        ys[n] = y
+        return pv(np.interp(times, ts[: n + 1], ys[: n + 1])) - price
+
+    root = _bisect(excess, _PRICE_TOL_REL * price, 1e-16, slope=pv.slope, guess=guess)
+    if root is None:
+        lo, hi = YTM_BRACKET
+        diagnostics.append(f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {price}; skipped")
+        return n
+    ys[n] = root[0]
+    return n + 1
+
+
+class BootstrapBase:
+    """One day's bootstrap, kept so that each replicate of the day resumes it.
+
+    A knot depends only on the knots before it and on its own bond. So a
+    replicate whose bonds, in maturity order, begin with the same bond
+    objects as the day's has the day's knots and diagnostics up to its first
+    other bond, and ``bootstrap(replicate, base)`` solves from there on,
+    bit for bit. ``marks[k]`` is the knot count and the diagnostics count
+    after the day's first ``k`` bonds. Building the base raises nothing:
+    a day whose every bond is skipped is the failure of the replicates that
+    share all of it.
+    """
+
+    def __init__(self, snapshot: MarketSnapshot):
+        self.bonds = sort_bonds(snapshot.bonds)
+        self.ts = np.empty(len(self.bonds))
+        self.ys = np.empty(len(self.bonds))
+        self.diagnostics: list[str] = []
+        self.marks: list[tuple[int, int]] = [(0, 0)]
+        n = 0
+        for bond in self.bonds:
+            n = _place_knot(bond, self.ts, self.ys, n, self.diagnostics)
+            self.marks.append((n, len(self.diagnostics)))
+
+
+def bootstrap(snapshot: MarketSnapshot, base: BootstrapBase | None = None) -> BootstrapCurve:
     """Sequential exact-fit curve: one knot per bond, shortest maturity first.
 
     For each bond the single unknown is the yield at its maturity. Cashflows
@@ -382,39 +436,25 @@ def bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
     Bonds that cannot be repriced inside the bracket, and bonds sharing a
     maturity with an already-placed knot, are skipped and reported in the
     curve's diagnostics.
+
+    With ``base``, the bootstrap of a day that ``snapshot`` is a replicate
+    of, the knots before the first bond that is not the day's are the day's
+    (``BootstrapBase``), and the curve is the same, bit for bit.
     """
     bonds = sort_bonds(snapshot.bonds)
     # placed knots in [:n]; slot n holds the bond being solved and its candidate
     ts = np.empty(len(bonds))
     ys = np.empty(len(bonds))
-    n = 0
+    n = start = 0
     diagnostics: list[str] = []
-
-    for bond in bonds:
-        if n and abs(bond.maturity - ts[n - 1]) <= 1e-9:
-            diagnostics.append(
-                f"bond {bond.id}: maturity {bond.maturity} duplicates an existing knot; skipped"
-            )
-            continue
-        ts[n] = bond.maturity
-        times, amounts = cashflow_schedule(bond)
-        # a cashflow's rate moves with the candidate by its interpolation weight
-        dr_dy = np.clip((times - ts[n - 1]) / (ts[n] - ts[n - 1]), 0.0, 1.0) if n else 1.0
-        pv = _pv_kernel(times, amounts, dr_dy)
-        price = bond.market_price
-        guess = float(ys[n - 1]) if n else _flat_guess(times, amounts, price)
-
-        def excess(y: float) -> float:
-            ys[n] = y
-            return pv(np.interp(times, ts[: n + 1], ys[: n + 1])) - price
-
-        root = _bisect(excess, _PRICE_TOL_REL * price, 1e-16, slope=pv.slope, guess=guess)
-        if root is None:
-            lo, hi = YTM_BRACKET
-            diagnostics.append(f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {price}; skipped")
-            continue
-        ys[n] = root[0]
-        n += 1
+    if base is not None:
+        start = next((k for k, (a, b) in enumerate(zip(bonds, base.bonds)) if a is not b),
+                     min(len(bonds), len(base.bonds)))
+        n, count = base.marks[start]
+        ts[:n], ys[:n] = base.ts[:n], base.ys[:n]
+        diagnostics = base.diagnostics[:count]
+    for bond in bonds[start:]:
+        n = _place_knot(bond, ts, ys, n, diagnostics)
 
     if not n:
         raise NoSolutionError("bootstrap failed for every bond: " + "; ".join(diagnostics))

@@ -255,9 +255,8 @@ class TestTraining:
         # a learning rate ~4 orders too large makes the level oscillate and blow up
         snap = generate_scenario(ScenarioSpec(regime="falling", n_bonds=8, seed=21))
         config = TrainConfig(learning_rate=1e-4, epochs=50, gamma1=0.0, gamma2=0.0, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="epoch") as err:
-                train(snap, config)
+        with pytest.raises(DivergenceError, match="epoch") as err:
+            train(snap, config)
         assert err.value.epoch >= 0
         assert 0 <= err.value.bond_index < len(snap.bonds)
 

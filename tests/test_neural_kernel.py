@@ -191,9 +191,8 @@ class TestDivergence:
     def test_divergence_is_attributed(self, knobs, message, epoch, bond_index):
         # recorded from the direct per-array formulation of the step
         snap = generate_scenario(DAYS["falling"])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as err:
-                train(snap, TrainConfig(epochs=30, seed=0, **knobs))
+        with pytest.raises(DivergenceError) as err:
+            train(snap, TrainConfig(epochs=30, seed=0, **knobs))
         assert str(err.value) == f"training diverged: {message}"
         assert (err.value.epoch, err.value.bond_index) == (epoch, bond_index)
 
