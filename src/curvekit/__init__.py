@@ -36,7 +36,6 @@ from .evaluation import (
 from .kernelridge import (
     KernelParams,
     KrCurve,
-    KrLayout,
     KrModel,
     fit_kr,
     kernel_matrix,
@@ -70,7 +69,6 @@ from .neural import (
 )
 from .nss import NssCurve, NssFitConfig, NssParams, fit_nss, nss_forward, nss_yield
 from .pricing import (
-    BootstrapBase,
     BootstrapCurve,
     FlatCurve,
     OffsetCurve,

@@ -110,10 +110,9 @@ class Estimator:
     def fit_many(self, base: MarketSnapshot, replicates: list[MarketSnapshot]) -> list[Callable[[], YieldCurve]]:
         """One fit per replicate of ``base``, in the replicates' order, each run when called.
 
-        Without ``reuse``, or for a single replicate (where preparing the
-        day costs more than it saves), each is the replicate's own ``fit``.
+        Without ``reuse``, each is the replicate's own ``fit``.
         """
-        fit = self.fit if self.reuse is None or len(replicates) < 2 else self.reuse(base)
+        fit = self.fit if self.reuse is None else self.reuse(base)
         return [partial(fit, replicate) for replicate in replicates]
 
 

@@ -50,7 +50,6 @@ def outcome(fit):
 
 
 def assert_bit_for_bit(estimator, day, replicates):
-    assert len(replicates) > 1  # a single replicate takes the plain fit
     batched = [outcome(fit) for fit in estimator.fit_many(day, replicates)]
     alone = [outcome(lambda r=r: estimator.fit(r)) for r in replicates]
     assert batched == alone
@@ -113,6 +112,20 @@ def test_kr_replicates_share_one_layout(monkeypatch):
     layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
     assert_bit_for_bit(ESTIMATORS["kr"], day, reps)
     assert len(layouts) == 1 + len(reps)  # the day's, then one per replicate fitted alone
+
+
+@pytest.mark.parametrize("name, module, step", [("bootstrap", pricing, "_place_knot"),
+                                                ("kr", kernelridge, "cashflow_matrix")])
+def test_a_plan_of_one_replicate_reuses_the_day(monkeypatch, name, module, step):
+    day = generate_scenario(ScenarioSpec(**DAYS[1]))
+    replicate = replicate_sets(day)["loo"][0]
+    calls = counting(monkeypatch, module, step)
+    [fit] = ESTIMATORS[name].fit_many(day, [replicate])
+    prepared = len(calls)  # the day's knots, or the day's layout
+    batched = outcome(fit)
+    assert prepared == (len(day.bonds) if name == "bootstrap" else 1)
+    assert name == "bootstrap" or len(calls) == prepared  # the replicate's system is sliced from the day's
+    assert batched == outcome(lambda: ESTIMATORS[name].fit(replicate))
 
 
 def test_bootstrap_resumes_at_the_first_other_bond(monkeypatch):
