@@ -23,7 +23,7 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -447,6 +447,7 @@ def cmd_experiment(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@cache  # built once per process: a parse leaves the parser and its defaults (tuples) as they were
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="curvekit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -491,12 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     pert = exp_sub.add_parser("perturb", help="bump one bond's price and refit")
     pert.add_argument("snapshot")
     pert.add_argument("--bond", default=None, help="bond id (default: longest maturity)")
-    pert.add_argument("--bumps", type=_float_list, default=[0.03, 0.05, 0.10])
+    pert.add_argument("--bumps", type=_float_list, default=(0.03, 0.05, 0.10))
     common(pert)
 
     drop = exp_sub.add_parser("drop", help="randomly drop bonds, Monte Carlo averaged")
     drop.add_argument("snapshot")
-    drop.add_argument("--counts", type=_int_list, default=[1, 5, 10])
+    drop.add_argument("--counts", type=_int_list, default=(1, 5, 10))
     drop.add_argument("--mc", type=int, default=10)
     common(drop)
 
@@ -514,10 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = exp_sub.add_parser("hyperscan", help="sweep NN hyperparameters, tabulate RMSE_ytm")
     scan.add_argument("snapshot")
-    scan.add_argument("--lr", type=_float_list, default=[1e-7, 1e-8, 1e-9])
-    scan.add_argument("--epochs", type=_int_list, default=[200, 500, 1000])
-    scan.add_argument("--gamma1", type=_float_list, default=[1e3])
-    scan.add_argument("--gamma2", type=_float_list, default=[1e4])
+    scan.add_argument("--lr", type=_float_list, default=(1e-7, 1e-8, 1e-9))
+    scan.add_argument("--epochs", type=_int_list, default=(200, 500, 1000))
+    scan.add_argument("--gamma1", type=_float_list, default=(1e3,))
+    scan.add_argument("--gamma2", type=_float_list, default=(1e4,))
     common(scan, with_estimators=False)
 
     return parser

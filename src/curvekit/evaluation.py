@@ -9,11 +9,12 @@ A metric evaluates a curve with one ``YieldCurve.yields`` call over its grid
 or bond maturities. ``refit`` is the one rule for what a fit is: the estimator
 fits and the caller's score is taken under one guard, so a fitted curve that
 cannot be evaluated or scored counts as a failed fit. Every protocol fit, and
-every fit of the command line, goes through it; perturb, drop and
+every fit of the command line, goes through it; perturb, drop, stability and
 leave-one-out refit their replicates of one day through ``refit_many``, which
 applies that guard to each replicate and lets an estimator reuse the day's
 work (``Estimator.fit_many``). The unperturbed day that perturb and drop
-compare against is their replicate 0.
+compare against is their replicate 0; stability's days are replicates of its
+first day.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class Estimator:
     ``reuse``, when given, maps a day to a fit for the replicates of that
     day (snapshots holding some of its bonds, any of them possibly
     repriced) that reuses the day's work and gives each replicate its
-    ``fit``'s curve, bit for bit.
+    ``fit``'s curve, bit for bit; any other snapshot (another stability day)
+    gets its ``fit``'s curve too.
     """
 
     name: str
@@ -341,7 +343,8 @@ def stability_experiment(
 ) -> StabilityResult:
     """Day-over-day curve stability across an ordered snapshot sequence.
 
-    Each day is fit independently; consecutive fitted days are compared with
+    Each day is fit as a replicate of the first (``refit_many``), reusing
+    its work where they share bonds; consecutive fitted days are compared with
     bucket-restricted curve RMSE, and the hit rate per bucket is the fraction
     of pairs strictly below ``threshold``. Also records the fitted yield and
     benchmark rate at 6M, 2Y and 10Y for each day.
@@ -357,9 +360,9 @@ def stability_experiment(
     grid_yields: list[np.ndarray | None] = []  # a bucket's values are a slice of them
     skipped = []
     series = []
-    for snap in snapshots:
-        fitted, exc = refit(estimator, snap,
-                            lambda curve: (curve, curve.yields(tenors), curve.yields(fixed).tolist()))
+    results = refit_many(estimator, snapshots[0], snapshots,
+                         lambda _, curve: (curve, curve.yields(tenors), curve.yields(fixed).tolist()))
+    for snap, (fitted, exc) in zip(snapshots, results):
         curve, ys, at_fixed = fitted or (None, None, None)
         curves.append(curve)
         grid_yields.append(ys)

@@ -20,7 +20,7 @@ minimizes
 
 over the kernel weights alpha placed at the union of all cashflow dates, and
 is solved in closed form through an equivalent symmetric positive-definite
-system of one equation per bond, laid out by ``_kr_system``. ``numpy.linalg``
+system of one equation per bond, laid out by ``KrLayout``. ``numpy.linalg``
 solves it with its Cholesky factor L, first with L and then with L'; the
 diagonal is jittered if the system is not numerically positive definite.
 """
@@ -34,9 +34,7 @@ import numpy as np
 
 from .errors import FitFailureError, InvalidDiscountError, SingularSystemError, ValidationError
 from .market import MarketSnapshot
-from .pricing import YieldCurve, cashflow_matrix, cashflow_schedule, duration_price_weights
-
-_ANCHOR_TOL = 1e-9
+from .pricing import _TIME_TOL, YieldCurve, cashflow_matrix, cashflow_schedule, duration_price_weights
 
 cho_factor = np.linalg.cholesky  # looked up per call, so perfbench can count factorisations
 
@@ -137,62 +135,59 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             scale *= 10.0
 
 
-def _kr_layout(bonds, kernel_params: KernelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anchor times, the cashflow matrix C over them and the kernel matrix K at them."""
-    anchor_times, C = cashflow_matrix(bonds, tol=_ANCHOR_TOL)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing K is fit_kr's error to report
-        K = kernel_matrix(anchor_times, kernel_params)
-    return anchor_times, C, K
-
-
-def _kr_system(snapshot: MarketSnapshot, kernel_params: KernelParams) -> tuple:
-    """The fit's layout on ``snapshot``: anchor times, C, K, weights w, prices."""
-    bonds = list(snapshot.bonds)
-    return *_kr_layout(bonds, kernel_params), duration_price_weights(bonds), np.array([b.market_price for b in bonds])
-
-
 class KrLayout:
     """One day's anchors, C and K, sliced into the system of each replicate of that day.
 
-    A replicate holds some of the day's bonds, any of them possibly repriced
-    (a copy with the same id, cashflows, face value and maturity). When every
-    cashflow time it keeps is exactly one of the day's anchors, its anchors
-    are a subset of the day's and ``_kr_system`` would build its C and K as
-    the rows and columns of the day's that belong to it. ``system`` takes
-    them as C-contiguous copies (``take`` and ``compress``, about twice as
-    fast as ``np.ix_`` here), so the solve that follows performs the same
-    operations on the same arrays as a fit from scratch, bit for bit; a
-    strided view would send ``C K C'`` down another BLAS path. The weights
-    and prices are the replicate's own: the weights depend on its bond count.
+    It lays out every fit's system; a whole-day fit is the replicate that
+    keeps every bond. A replicate holds some of the day's bonds, any of them
+    possibly repriced (a copy with the same id, cashflows, face value and
+    maturity). When it keeps every bond, or every cashflow time it keeps is
+    exactly one of the day's anchors, a layout of its own would hold the rows
+    and columns of the day's C and K that belong to it. ``system`` takes them
+    as C-contiguous copies (``take`` and ``compress``, about twice as fast as
+    ``np.ix_`` here), so the solve that follows performs the same operations
+    on the same arrays as a fit from its own layout, bit for bit; a strided
+    view would send ``C K C'`` down another BLAS path. The weights and prices
+    are the replicate's own: the weights depend on its bond count.
     """
 
     def __init__(self, snapshot: MarketSnapshot, kernel_params: KernelParams):
         self.kernel_params = kernel_params
         self.bonds = snapshot.bonds
-        self.anchor_times, self.C, self.K = _kr_layout(list(self.bonds), kernel_params)
+        self.anchor_times, self.C = cashflow_matrix(self.bonds)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing K is fit_kr's error to report
+            self.K = kernel_matrix(self.anchor_times, kernel_params)
         self.rows = {b.id: j for j, b in enumerate(self.bonds)}
-        # each bond's anchor columns, or None when a time of it was folded into another bond's anchor
-        self.cols = []
+
+    @cached_property
+    def cols(self) -> list[np.ndarray | None]:
+        """Each bond's anchor columns, None where a time was folded into another bond's anchor; built on first use."""
+        cols = []
         for bond in self.bonds:
             times, _ = cashflow_schedule(bond)
-            cols = np.searchsorted(self.anchor_times, times - _ANCHOR_TOL)  # as cashflow_matrix places them
-            self.cols.append(cols if np.array_equal(self.anchor_times[cols], times) else None)
+            at = np.searchsorted(self.anchor_times, times - _TIME_TOL)  # as cashflow_matrix places them
+            cols.append(at if np.array_equal(self.anchor_times[at], times) else None)
+        return cols
 
     def system(self, snapshot: MarketSnapshot) -> tuple | None:
-        """``_kr_system(snapshot)`` from the day's arrays, or None when the replicate needs its own."""
+        """The fit's anchor times, C, K, weights w and prices on ``snapshot``, or None when it needs its own."""
         rows = []
         for bond in snapshot.bonds:
             j = self.rows.get(bond.id)
-            if j is None or self.cols[j] is None:
+            if j is None:
                 return None
             own = self.bonds[j]
             if own is not bond and (own.cashflows, own.face_value, own.maturity) != (
                     bond.cashflows, bond.face_value, bond.maturity):
                 return None
             rows.append(j)
-        kept = np.zeros(len(self.anchor_times), dtype=bool)
-        for j in rows:
-            kept[self.cols[j]] = True
+        whole = len(rows) == len(self.bonds)  # ids are unique, so it keeps every bond and every anchor
+        kept = np.full(len(self.anchor_times), whole)
+        if not whole:
+            for j in rows:
+                if self.cols[j] is None:
+                    return None
+                kept[self.cols[j]] = True
         C = np.compress(kept, self.C.take(rows, axis=0), axis=1)
         K = np.compress(kept, np.compress(kept, self.K, axis=0), axis=1)
         return (self.anchor_times[kept], C, K,
@@ -235,7 +230,7 @@ def fit_kr(
         raise ValidationError("the layout was built with other kernel weights")
     system = None if layout is None else layout.system(snapshot)
     if system is None:
-        system = _kr_system(snapshot, kernel_params)
+        system = KrLayout(snapshot, kernel_params).system(snapshot)
     anchor_times, C, K, w, prices = system
     resid0 = prices - C.sum(axis=1)  # price minus undiscounted cashflows
     sqrt_w = np.sqrt(w)
@@ -263,9 +258,9 @@ def fit_kr(
 
 def kr_objective(snapshot: MarketSnapshot, model: KrModel, alphas=None) -> float:
     """Objective value of ``model`` (or of override weights ``alphas``) on ``snapshot``."""
-    system = _kr_system(snapshot, model.kernel_params)
+    system = KrLayout(snapshot, model.kernel_params).system(snapshot)
     anchors = system[0]
-    if len(anchors) != len(model.anchor_times) or np.max(np.abs(anchors - model._arrays[0])) > _ANCHOR_TOL:
+    if len(anchors) != len(model.anchor_times) or np.max(np.abs(anchors - model._arrays[0])) > _TIME_TOL:
         raise ValidationError("model anchors do not match the snapshot's cashflow dates")
     al = np.array(model.alphas if alphas is None else alphas, dtype=float)
     return _kr_score(system, model.lam, al)[1]

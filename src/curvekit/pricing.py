@@ -13,12 +13,12 @@ model-based curves.
 
 Per-bond analytics are memoised. Each ``Bond`` gets one record on first use:
 its cashflow times and amounts as read-only arrays, its flat yield and its
-Macaulay duration. The records sit in a table keyed weakly by the bond, so a
-record lives exactly as long as its bond object does: a CLI command solves
-each bond once and leaves nothing behind when it returns, and a value-equal
-bond (the same bond reloaded from a file) finds the same record. A yield
-solve that fails stores nothing, so ``NoSolutionError`` is raised again on
-every call.
+Macaulay duration. The record sits in the bond's own ``__dict__``, as a
+``functools.cached_property`` value would, so it lives exactly as long as
+its bond object and finding it hashes nothing: a CLI command solves each
+bond once and leaves nothing behind. A value-equal copy (the same bond
+reloaded) solves again, to the same bits. A yield solve that fails stores
+nothing, so ``NoSolutionError`` is raised again on every call.
 
 Operation order is part of the behaviour. Yields and durations weight every
 fitter's price errors, and the fitters chain them into simplex trajectories
@@ -42,7 +42,6 @@ keeps the plain loop as its oracle).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +53,7 @@ from .market import Bond, MarketSnapshot, YieldCurve, sort_bonds
 # the rate, so a sign change on this bracket guarantees a unique solution.
 YTM_BRACKET = (-0.10, 1.00)
 _PRICE_TOL_REL = 1e-10
+_TIME_TOL = 1e-9  # payment dates this close are one date: one cashflow anchor, one bootstrap knot
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,10 @@ class _BondRecord:
         self.duration: float | None = None
 
 
-_MEMO: weakref.WeakKeyDictionary[Bond, _BondRecord] = weakref.WeakKeyDictionary()
-
-
 def _record(bond: Bond) -> _BondRecord:
-    record = _MEMO.get(bond)
+    record = bond.__dict__.get("_record")
     if record is None:
-        record = _MEMO[bond] = _BondRecord(bond)
+        record = bond.__dict__["_record"] = _BondRecord(bond)
     return record
 
 
@@ -138,11 +135,11 @@ def cashflow_schedule(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
     return record.times, record.amounts
 
 
-def cashflow_matrix(bonds, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def cashflow_matrix(bonds) -> tuple[np.ndarray, np.ndarray]:
     """Dense cashflow layout over the union of all payment dates.
 
     Returns ``(anchor_times, C)`` where anchor_times is the sorted union of
-    every bond's payment dates (deduplicated within ``tol`` years) and
+    every bond's payment dates (deduplicated within 1e-9 years, ``_TIME_TOL``) and
     ``C[j, l]`` is the total amount bond j pays at anchor l, face value
     included at maturity.
     """
@@ -150,12 +147,12 @@ def cashflow_matrix(bonds, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     all_times = np.concatenate([times for times, _ in schedules])
     anchors: list[float] = []
     for t in np.sort(all_times):
-        if not anchors or t - anchors[-1] > tol:
+        if not anchors or t - anchors[-1] > _TIME_TOL:
             anchors.append(float(t))
     anchor_times = np.array(anchors)
     C = np.zeros((len(bonds), len(anchor_times)))
     for j, (times, amounts) in enumerate(schedules):
-        idx = np.searchsorted(anchor_times, times - tol)
+        idx = np.searchsorted(anchor_times, times - _TIME_TOL)
         np.add.at(C[j], idx, amounts)  # final coupon and face share the maturity slot
     return anchor_times, C
 
@@ -372,7 +369,7 @@ def _place_knot(bond: Bond, ts: np.ndarray, ys: np.ndarray, n: int, diagnostics:
 
     A skipped bond leaves the count as it was and appends why to ``diagnostics``.
     """
-    if n and abs(bond.maturity - ts[n - 1]) <= 1e-9:
+    if n and abs(bond.maturity - ts[n - 1]) <= _TIME_TOL:
         diagnostics.append(f"bond {bond.id}: maturity {bond.maturity} duplicates an existing knot; skipped")
         return n
     ts[n] = bond.maturity
@@ -437,22 +434,21 @@ def bootstrap(snapshot: MarketSnapshot, base: BootstrapBase | None = None) -> Bo
     maturity with an already-placed knot, are skipped and reported in the
     curve's diagnostics.
 
-    With ``base``, the bootstrap of a day that ``snapshot`` is a replicate
-    of, the knots before the first bond that is not the day's are the day's
-    (``BootstrapBase``), and the curve is the same, bit for bit.
+    The knots before the first bond that is not the day's are those of
+    ``base``, the bootstrap of a day that ``snapshot`` is a replicate of
+    (``BootstrapBase``; by default ``snapshot``'s own), bit for bit.
     """
+    if base is None:
+        base = BootstrapBase(snapshot)
     bonds = sort_bonds(snapshot.bonds)
     # placed knots in [:n]; slot n holds the bond being solved and its candidate
     ts = np.empty(len(bonds))
     ys = np.empty(len(bonds))
-    n = start = 0
-    diagnostics: list[str] = []
-    if base is not None:
-        start = next((k for k, (a, b) in enumerate(zip(bonds, base.bonds)) if a is not b),
-                     min(len(bonds), len(base.bonds)))
-        n, count = base.marks[start]
-        ts[:n], ys[:n] = base.ts[:n], base.ys[:n]
-        diagnostics = base.diagnostics[:count]
+    start = next((k for k, (a, b) in enumerate(zip(bonds, base.bonds)) if a is not b),
+                 min(len(bonds), len(base.bonds)))
+    n, count = base.marks[start]
+    ts[:n], ys[:n] = base.ts[:n], base.ys[:n]
+    diagnostics = base.diagnostics[:count]
     for bond in bonds[start:]:
         n = _place_knot(bond, ts, ys, n, diagnostics)
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -394,6 +395,29 @@ class TestExperiments:
         first = strip_timestamp(workdir / "rep.loo.kr.json")
         assert run(argv) == 0
         assert strip_timestamp(workdir / "rep.loo.kr.json") == first
+
+    def test_default_bumps_rerun_writes_identical_reports(self, workdir):
+        # one parser serves every command, so a parse must leave its defaults as they were
+        path = generate_day(workdir, bonds=10)
+        argv = ["experiment", "perturb", str(path), "--estimators", "bootstrap", "-o", "rep"]
+        assert run(argv) == 0
+        first = strip_timestamp(workdir / "rep.perturb.bootstrap.json")
+        assert json.loads(first)["provenance"]["bumps"] == [0.03, 0.05, 0.10]
+        assert run(argv) == 0
+        assert strip_timestamp(workdir / "rep.perturb.bootstrap.json") == first
+
+
+def test_main_builds_the_parser_once(workdir, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    assert run(["generate", "--regime", "flat", "--bonds", "5", "-o", "a.json"]) == 0
+    once = len(built)  # the top-level parser and its subcommands'
+    assert once > 0
+    assert run(["fit", "a.json", "--estimator", "bootstrap"]) == 0
+    assert len(built) == once
 
 
 # scipy is a test-only dependency: the commands run with its import blocked

@@ -5,11 +5,13 @@ the pricing oracle, so the memoised records and the one present-value kernel
 under both root solves must reproduce the direct formulas exactly, not just
 closely. The reference below is those formulas, kept verbatim (renamed with
 a ``ref_`` prefix) as the oracle. The memo tests check what the cache
-promises: value-equal bonds share values, failures are never cached, cached
-arrays are read-only, and a record lives only as long as its bond.
+promises: value-equal bonds get the same values, failures are never cached,
+cached arrays are read-only, a record lives only as long as its bond, and
+finding it hashes no bond.
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from curvekit import (
     save_snapshot,
     yield_to_maturity,
 )
-from curvekit import pricing
+from curvekit import market, pricing
 from curvekit.cli import main
 from curvekit.market import sort_bonds
 from curvekit.pricing import YTM_BRACKET, _PRICE_TOL_REL, cashflow_matrix, cashflow_schedule, duration_price_weights
@@ -290,11 +292,10 @@ class TestOracle:
     def test_weights_and_cashflow_matrix_equal_reference(self, day):
         bonds = list(DAYS[day]().bonds)
         assert duration_price_weights(bonds).tobytes() == ref_duration_price_weights(bonds).tobytes()
-        for tol in (1e-9, 1e-6):
-            anchors, C = cashflow_matrix(bonds, tol)
-            ref_anchors, ref_C = ref_cashflow_matrix(bonds, tol)
-            assert anchors.tobytes() == ref_anchors.tobytes()
-            assert C.tobytes() == ref_C.tobytes()
+        anchors, C = cashflow_matrix(bonds)
+        ref_anchors, ref_C = ref_cashflow_matrix(bonds)
+        assert anchors.tobytes() == ref_anchors.tobytes()
+        assert C.tobytes() == ref_C.tobytes()
 
     @pytest.mark.parametrize("day", DAYS)
     def test_candidate_pv_equals_reference(self, day):
@@ -340,6 +341,10 @@ class TestOracle:
         assert str(new.value) == str(ref.value)
 
 
+def live_records() -> int:
+    return sum(type(o) is pricing._BondRecord for o in gc.get_objects())
+
+
 class TestMemo:
     def test_reloaded_bond_gets_identical_values(self, tmp_path):
         snap = scenario_day("falling", 15)
@@ -371,17 +376,15 @@ class TestMemo:
                 arr[0] = 1.0
 
     def test_record_lives_as_long_as_its_bond(self):
-        gc.collect()
-        before = len(pricing._MEMO)
         bonds = [
             Bond(f"memo-{b.id}", b.cashflows, b.face_value, b.maturity, b.market_price)
             for b in scenario_day("rising", 15).bonds
         ]
         duration_price_weights(bonds)
-        assert len(pricing._MEMO) == before + len(bonds)
+        refs = [weakref.ref(b) for b in bonds]
         del bonds
         gc.collect()
-        assert len(pricing._MEMO) == before
+        assert [ref() for ref in refs] == [None] * 15
 
     def test_a_command_solves_each_bond_once_and_leaves_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -390,10 +393,21 @@ class TestMemo:
         solve = pricing._solve_flat_rate
         monkeypatch.setattr(pricing, "_solve_flat_rate", lambda *a: solves.append(1) or solve(*a))
         gc.collect()
-        before = len(pricing._MEMO)
+        before = live_records()
         # KR weights each bond by its duration, and the printed RMSE needs each yield again
         assert main(["fit", "d.json", "--estimator", "kr"]) == 0
         assert len(solves) == 20
         assert main(["experiment", "loo", "d.json", "--estimators", "bootstrap,kr", "--mc", "3", "-o", "r"]) == 0
         gc.collect()
-        assert len(pricing._MEMO) == before
+        assert live_records() == before
+
+    def test_fits_hash_no_bond(self, tmp_path, monkeypatch):
+        # each bond finds its record without hashing its cashflows
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--regime", "falling", "--bonds", "20", "--seed", "8", "-o", "d.json"]) == 0
+        hashes = []
+        bond_hash = Bond.__hash__
+        monkeypatch.setattr(market.Bond, "__hash__", lambda self: hashes.append(self.id) or bond_hash(self))
+        assert main(["fit", "d.json", "--estimator", "kr"]) == 0
+        assert main(["experiment", "loo", "d.json", "--estimators", "bootstrap,kr", "--mc", "3", "-o", "r"]) == 0
+        assert hashes == []

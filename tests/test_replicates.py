@@ -1,7 +1,8 @@
 """Replicates of one day fitted from the day's prepared work: bit for bit, failures attributed.
 
 KR slices each replicate's cashflow and kernel matrices from the day's, and
-the bootstrap resumes the day's knots at a replicate's first other bond.
+the bootstrap resumes the day's knots at a replicate's first other bond;
+stability fits its days as replicates of the first.
 Every replicate fitted through ``Estimator.fit_many`` must equal the
 replicate's own fit in every float, or fail with the same error; the two
 paths run in one process, so this holds under any SIMD dispatch.
@@ -17,7 +18,7 @@ import pytest
 from curvekit import Bond, ScenarioSpec, cli, generate_scenario, kernelridge, pricing, yield_to_maturity
 from curvekit.cli import build_estimators, build_parser, main
 from curvekit.errors import CurveKitError
-from curvekit.evaluation import DEFAULT_TENORS, drop_bonds_experiment, loo_experiment, refit
+from curvekit.evaluation import DEFAULT_TENORS, drop_bonds_experiment, loo_experiment, refit, stability_experiment
 from curvekit.market import sort_bonds
 
 DAYS = [
@@ -203,11 +204,82 @@ def test_kr_falls_back_when_a_kept_time_was_folded_into_a_dropped_anchor(monkeyp
     assert_bit_for_bit(ESTIMATORS["bootstrap"], day, reps)
 
 
+def test_a_whole_day_fit_keeps_an_anchor_that_was_folded(monkeypatch):
+    # a whole day is its own replicate: its system is its own layout's, folded anchor and all
+    day = generate_scenario(ScenarioSpec(**DAYS[0]))
+    day = with_bond(with_bond(day, zero_coupon("Z1", 3.3337)), zero_coupon("Z2", 3.3337 + 5e-10))
+    layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
+    alone = outcome(lambda: kernelridge.KrCurve(kernelridge.fit_kr(day)))
+    assert len(layouts) == 1
+    layout = kernelridge.KrLayout(day, kernelridge.KernelParams())
+    assert outcome(lambda: kernelridge.KrCurve(kernelridge.fit_kr(day, layout=layout))) == alone
+    assert len(layouts) == 2  # the explicit layout, and no other
+
+
 def test_a_layout_of_other_kernel_weights_is_refused():
     day = generate_scenario(ScenarioSpec(**DAYS[0]))
     layout = kernelridge.KrLayout(day, kernelridge.KernelParams(b=2.0))
     with pytest.raises(CurveKitError, match="other kernel weights"):
         kernelridge.fit_kr(day, layout=layout)
+
+
+# ---------------------------------------------------------------------------
+# Stability: every day a replicate of the first
+# ---------------------------------------------------------------------------
+
+def days_of(regime, n_bonds, count=5):
+    """A day-over-day sequence: one bond universe, rates drifting 2 bp a day, prices noisy."""
+    return [generate_scenario(ScenarioSpec(regime=regime, n_bonds=n_bonds, price_noise_sd=0.001, seed=77,
+                                           base_rate=0.03 + 0.0002 * i), date=f"day-{i}")
+            for i in range(count)]
+
+
+def assert_stability_bit_for_bit(estimator, days):
+    result = stability_experiment(days, estimator)
+    alone = [outcome(lambda d=d: estimator.fit(d)) for d in days]
+    failed = [isinstance(o[0], str) for o in alone]  # an error's type name and message
+    assert [c is None for c in result.curves] == failed
+    assert [outcome(lambda c=c: c) for c in result.curves if c is not None] == [
+        o for o, f in zip(alone, failed) if not f]
+    assert_bit_for_bit(estimator, days[0], days)
+    return result
+
+
+@pytest.mark.parametrize("regime", ["falling", "rising", "flat"])
+@pytest.mark.parametrize("n_bonds", [15, 60])
+@pytest.mark.parametrize("name", ["bootstrap", "kr"])
+def test_stability_days_equal_their_own_fits(monkeypatch, regime, n_bonds, name):
+    days = days_of(regime, n_bonds)
+    layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
+    knots = counting(monkeypatch, pricing, "_place_knot")
+    stability_experiment(days, ESTIMATORS[name])
+    if name == "kr":
+        assert len(layouts) == 1  # every day's system is sliced from the first day's layout
+    else:
+        assert len(knots) == 5 * n_bonds  # the first day resumes in full, every other day solves from its first bond
+    assert_stability_bit_for_bit(ESTIMATORS[name], days)
+
+
+@pytest.mark.parametrize("name", ["bootstrap", "kr"])
+def test_stability_days_of_another_universe(monkeypatch, name):
+    days = days_of("falling", 15)
+    days[2] = dropped(days[2], {days[2].bonds[4].id})
+    days[3] = with_bond(days[3], zero_coupon("Z1", 2.5))
+    layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
+    stability_experiment(days, ESTIMATORS[name])
+    # the first day's, and the new bond's day's own; the day with a bond fewer is sliced, as a dropped replicate is
+    assert name == "bootstrap" or len(layouts) == 2
+    assert_stability_bit_for_bit(ESTIMATORS[name], days)
+
+
+@pytest.mark.parametrize("name", ["bootstrap", "kr"])
+@pytest.mark.parametrize("bad", [0, 2])
+def test_a_stability_day_whose_every_bond_is_skipped(name, bad):
+    days = days_of("rising", 15)
+    days[bad] = replace(days[bad], bonds=(replace(b, market_price=b.market_price * 10.0) for b in days[bad].bonds))
+    result = assert_stability_bit_for_bit(ESTIMATORS[name], days)
+    assert [c is None for c in result.curves] == [i == bad for i in range(5)]
+    assert len(result.skipped) == 1 and result.skipped[0].startswith(f"day-{bad}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +362,12 @@ def test_failed_base_fit_exits_four_before_any_replicate_is_reported(workdir, ca
     ("perturb", 4, "error: base fit failed for kr: kernel matrix is not finite for a=1.0, b=1e-08; raise b or lower a\n"),
     ("drop", 4, "error: base fit failed for kr: kernel matrix is not finite for a=1.0, b=1e-08; raise b or lower a\n"),
     ("loo", 4, "warning: 3 fit(s) failed; counts recorded in the reports\n"),
+    ("stability", 4, "warning: 2 fit(s) failed; counts recorded in the reports\n"),
 ])
 def test_non_finite_kernel_ends_each_protocol_as_before(workdir, capsys, kind, code, stderr):
     generate(["--bonds", "12", "--seed", "3"])
-    flags = ["--mc", "3"] if kind != "perturb" else []
-    assert main(["experiment", kind, "day.json", "--estimators", "kr", "--kr-b", "1e-8", *flags]) == code
+    days, flags = {"perturb": ([], []), "stability": (["day.json"], [])}.get(kind, ([], ["--mc", "3"]))
+    assert main(["experiment", kind, "day.json", *days, "--estimators", "kr", "--kr-b", "1e-8", *flags]) == code
     assert capsys.readouterr().err == stderr
 
 
@@ -307,9 +380,11 @@ def test_non_finite_kernel_ends_each_protocol_as_before(workdir, capsys, kind, c
     (["drop", "day.json", "--counts", "1,2", "--mc", "2"], 5),
     (["loo", "day.json", "--mc", "3"], 3),  # no fit of the day itself
     (["stability", "day.json", "day.json"], 2),
+    (["stability", "day.json", "other.json", "day.json"], 3),
 ])
 def test_other_estimators_run_the_same_fits(workdir, monkeypatch, name, fitter, flags, argv, fits):
     generate(["--bonds", "12", "--seed", "3"])
+    assert main(["generate", "--regime", "rising", "--bonds", "10", "--seed", "4", "-o", "other.json"]) == 0
     calls = counting(monkeypatch, cli, fitter)
     main(["experiment", *argv, "--estimators", name, *flags])
     assert len(calls) == fits
