@@ -20,9 +20,11 @@ minimizes
 
 over the kernel weights alpha placed at the union of all cashflow dates, and
 is solved in closed form through an equivalent symmetric positive-definite
-system of one equation per bond, laid out by ``KrLayout``. ``numpy.linalg``
-solves it with its Cholesky factor L, first with L and then with L'; the
-diagonal is jittered if the system is not numerically positive definite.
+system of one equation per bond, built on the bonds' Gram matrix C K C'.
+``KrLayout`` builds that matrix once per day, and each replicate of the day
+takes its principal submatrix. ``numpy.linalg`` solves the system with its
+Cholesky factor L, first with L and then with L'; the diagonal is jittered
+if the system is not numerically positive definite.
 """
 
 from __future__ import annotations
@@ -136,27 +138,37 @@ def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class KrLayout:
-    """One day's anchors, C and K, sliced into the system of each replicate of that day.
+    """One day's anchors, C, K and Gram matrix ``G = C K C'``, sliced into each replicate's system.
 
     It lays out every fit's system; a whole-day fit is the replicate that
     keeps every bond. A replicate holds some of the day's bonds, any of them
     possibly repriced (a copy with the same id, cashflows, face value and
     maturity). When it keeps every bond, or every cashflow time it keeps is
-    exactly one of the day's anchors, a layout of its own would hold the rows
-    and columns of the day's C and K that belong to it. ``system`` takes them
-    as C-contiguous copies (``take`` and ``compress``, about twice as fast as
-    ``np.ix_`` here), so the solve that follows performs the same operations
-    on the same arrays as a fit from its own layout, bit for bit; a strided
-    view would send ``C K C'`` down another BLAS path. The weights and prices
-    are the replicate's own: the weights depend on its bond count.
+    exactly one of the day's anchors, its own layout's Gram matrix is the
+    principal submatrix of ``G`` on its bonds' rows, bit for bit: each entry
+    sums over the two bonds' own cashflows only (``_gram``). ``system`` takes
+    that submatrix, the bonds' cashflow totals and their entries of C, whose
+    alphas at the anchors only dropped bonds use are 0, so the replicate's
+    alphas and curve are its own fit's, bit for bit; its objective and price
+    error sum over the day's anchors and match its own to rounding. A
+    replicate that drops a bond of a day whose ``G`` is not finite gets its
+    own layout: the kept bonds' part of ``G`` may be finite where the day's
+    is not. The weights and prices are the replicate's own: the weights
+    depend on its bond count.
     """
 
     def __init__(self, snapshot: MarketSnapshot, kernel_params: KernelParams):
         self.kernel_params = kernel_params
         self.bonds = snapshot.bonds
-        self.anchor_times, self.C = cashflow_matrix(self.bonds)
+        self.anchor_times, C = cashflow_matrix(self.bonds)
+        # C's entries, bond by bond and anchor by anchor: bond j's are starts[j]:starts[j + 1]
+        bond, self.at = np.nonzero(C)  # every bond pays at least its face value
+        self.amounts = C[bond, self.at]
+        self.starts = np.searchsorted(bond, np.arange(len(self.bonds) + 1))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing K is fit_kr's error to report
             self.K = kernel_matrix(self.anchor_times, kernel_params)
+            self.G, self.totals = _gram(self.at, self.amounts, self.starts[:-1], self.K)
+        self.finite = bool(np.isfinite(self.G).all())
         self.rows = {b.id: j for j, b in enumerate(self.bonds)}
 
     @cached_property
@@ -170,7 +182,9 @@ class KrLayout:
         return cols
 
     def system(self, snapshot: MarketSnapshot) -> tuple | None:
-        """The fit's anchor times, C, K, weights w and prices on ``snapshot``, or None when it needs its own."""
+        """The fit's anchors (a mask of the day's), its bonds' entries of C (bond, anchor, amount),
+        G's principal submatrix, cashflow totals, weights w and prices on ``snapshot``,
+        or None when it needs its own."""
         rows = []
         for bond in snapshot.bonds:
             j = self.rows.get(bond.id)
@@ -184,22 +198,46 @@ class KrLayout:
         whole = len(rows) == len(self.bonds)  # ids are unique, so it keeps every bond and every anchor
         kept = np.full(len(self.anchor_times), whole)
         if not whole:
+            if not self.finite:
+                return None
             for j in rows:
                 if self.cols[j] is None:
                     return None
                 kept[self.cols[j]] = True
-        C = np.compress(kept, self.C.take(rows, axis=0), axis=1)
-        K = np.compress(kept, np.compress(kept, self.K, axis=0), axis=1)
-        return (self.anchor_times[kept], C, K,
+        first, count = self.starts[rows], np.diff(self.starts)[rows]
+        entries = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+        return (kept, (np.repeat(np.arange(len(rows)), count), self.at[entries], self.amounts[entries]),
+                self.G[np.ix_(rows, rows)], self.totals[rows],
                 duration_price_weights(snapshot.bonds), np.array([b.market_price for b in snapshot.bonds]))
 
 
-def _kr_score(system: tuple, lam: float, alphas: np.ndarray) -> tuple[float, float]:
-    """Weighted squared price error of ``alphas``, and the objective: that plus lam * alphas' K alphas."""
-    _, C, K, w, prices = system
-    fitted = C @ (1.0 + K @ alphas)
+def _gram(at: np.ndarray, amounts: np.ndarray, starts: np.ndarray, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bonds' Gram matrix ``C K C'`` under the kernel, and each bond's cashflow total,
+    from C's entries (anchor ``at``, ``amounts``), bond j's beginning at ``starts[j]``.
+
+    Every entry sums over the two bonds' own cashflows only, in their order,
+    so it is the same float in any layout that holds both bonds. A BLAS
+    product would sum over all the day's anchors, zeros too, in an order set
+    by the day's size, and a replicate's fit would round differently from
+    its own; on an ill-conditioned system (condition number about 1e7) that
+    moved replicate scores by up to 1e-7 relative.
+    """
+    terms = K[at]
+    terms *= amounts[:, None]
+    CK = np.add.reduceat(terms, starts, axis=0)
+    terms = CK.T[at]
+    terms *= amounts[:, None]
+    return np.add.reduceat(terms, starts, axis=0), np.add.reduceat(amounts, starts)
+
+
+def _kr_score(layout: KrLayout, system: tuple, lam: float, alphas: np.ndarray) -> tuple[float, float]:
+    """Weighted squared price error of ``alphas``, one per anchor of the layout, and the objective:
+    that plus lam * alphas' K alphas."""
+    _, (bond, at, amounts), _, _, w, prices = system
+    K_alphas = layout.K @ alphas
+    fitted = np.bincount(bond, amounts * (1.0 + K_alphas[at]), len(prices))  # C (1 + K alphas)
     price_error = float(np.sum(w * (prices - fitted) ** 2))
-    return price_error, price_error + lam * float(alphas @ K @ alphas)
+    return price_error, price_error + lam * float(alphas @ K_alphas)
 
 
 def fit_kr(
@@ -221,8 +259,10 @@ def fit_kr(
     global minimizer of the convex objective.
 
     With ``layout``, the layout of a day that ``snapshot`` is a replicate of,
-    C and K are sliced from the day's (``KrLayout.system``) where they can
-    be, and the model is the same, bit for bit.
+    C's entries and G's principal submatrix are the day's
+    (``KrLayout.system``) where they can be: the anchors and alphas are the
+    same, bit for bit, and the objective and price error the same to
+    rounding.
     """
     if not (0 < lam < np.inf):
         raise ValidationError(f"lambda must be finite and > 0, got {lam}")
@@ -230,11 +270,11 @@ def fit_kr(
         raise ValidationError("the layout was built with other kernel weights")
     system = None if layout is None else layout.system(snapshot)
     if system is None:
-        system = KrLayout(snapshot, kernel_params).system(snapshot)
-    anchor_times, C, K, w, prices = system
-    resid0 = prices - C.sum(axis=1)  # price minus undiscounted cashflows
+        layout = KrLayout(snapshot, kernel_params)
+        system = layout.system(snapshot)
+    kept, (bond, at, amounts), G, totals, w, prices = system
+    resid0 = prices - totals  # price minus undiscounted cashflows
     sqrt_w = np.sqrt(w)
-    G = C @ K @ C.T
     A = sqrt_w[:, None] * G * sqrt_w[None, :] + lam * np.eye(len(prices))
     if not np.isfinite(A).all():
         # sinh(m * t) overflows once m = sqrt(a / b) passes about 710 / t
@@ -243,12 +283,14 @@ def fit_kr(
             f"raise b or lower a"
         )
     u = _solve_spd(A, sqrt_w * resid0)
-    alphas = C.T @ (sqrt_w * u)
+    # C' sqrt_w u, summed bond by bond at each anchor as in the replicate's own layout;
+    # 0 at the anchors that only dropped bonds use
+    alphas = np.bincount(at, amounts * (sqrt_w * u)[bond], len(layout.anchor_times))
 
-    price_error, objective = _kr_score(system, lam, alphas)
+    price_error, objective = _kr_score(layout, system, lam, alphas)
     return KrModel(
-        anchor_times=tuple(anchor_times),
-        alphas=tuple(alphas),
+        anchor_times=tuple(layout.anchor_times[kept]),
+        alphas=tuple(alphas[kept]),
         lam=lam,
         kernel_params=kernel_params,
         objective=objective,
@@ -258,12 +300,13 @@ def fit_kr(
 
 def kr_objective(snapshot: MarketSnapshot, model: KrModel, alphas=None) -> float:
     """Objective value of ``model`` (or of override weights ``alphas``) on ``snapshot``."""
-    system = KrLayout(snapshot, model.kernel_params).system(snapshot)
-    anchors = system[0]
+    layout = KrLayout(snapshot, model.kernel_params)
+    system = layout.system(snapshot)
+    anchors = layout.anchor_times
     if len(anchors) != len(model.anchor_times) or np.max(np.abs(anchors - model._arrays[0])) > _TIME_TOL:
         raise ValidationError("model anchors do not match the snapshot's cashflow dates")
     al = np.array(model.alphas if alphas is None else alphas, dtype=float)
-    return _kr_score(system, model.lam, al)[1]
+    return _kr_score(layout, system, model.lam, al)[1]
 
 
 def kr_discount(model: KrModel, t):

@@ -20,23 +20,16 @@ bond once and leaves nothing behind. A value-equal copy (the same bond
 reloaded) solves again, to the same bits. A yield solve that fails stores
 nothing, so ``NoSolutionError`` is raised again on every call.
 
-Operation order is part of the behaviour. Yields and durations weight every
-fitter's price errors, and the fitters chain them into simplex trajectories
-and SGD steps where a last-bit difference grows into a different curve. So
-one kernel (``_pv_kernel``) prices every flat rate, duration and bootstrap
-candidate with the floating-point operations of the direct formula, in the
-same order; ``tests/test_pricing_kernel.py`` keeps that formula as the oracle.
-
-Both root solves (flat yields and bootstrap knots) bisect on that kernel,
-and both first fence the root with a few tangent steps. A point the tangent
-steps evaluate with an excess over the price beyond twice the tolerance is a
-certificate: present value is strictly decreasing in the rate and its
-evaluation error (about 1e-14 of the price) is far below the tolerance
-(1e-10 of it), so every midpoint on the far side of that point would
-evaluate beyond the tolerance with the same sign. The bisection takes those
-midpoints' known branch without evaluating them and returns the same float
-as the plain bisection, bit for bit (``_bisect``; ``tests/test_bisect.py``
-keeps the plain loop as its oracle).
+Yields and durations weight every fitter's price errors. One kernel
+(``_pv_kernel``) prices every flat rate, duration and bootstrap candidate
+with the floating-point operations of the direct formula, in the same
+order; ``tests/test_pricing_kernel.py`` keeps that formula as the oracle.
+Both root solves, flat yields and bootstrap knots, are one
+safeguarded Newton solve on that kernel (``_solve``). It returns None by the
+plain bisection's bracket rule, and otherwise a root that reprices its bond
+to rounding, so yields, durations and knots match the direct formulas
+within stated tolerances, not bit for bit. No step of either solve goes
+through BLAS, so their bits do not depend on its kernels.
 """
 
 from __future__ import annotations
@@ -52,7 +45,9 @@ from .market import Bond, MarketSnapshot, YieldCurve, sort_bonds
 # Flat-rate bracket for yield solves. Present value is strictly decreasing in
 # the rate, so a sign change on this bracket guarantees a unique solution.
 YTM_BRACKET = (-0.10, 1.00)
-_PRICE_TOL_REL = 1e-10
+_PRICE_TOL_REL = 1e-10  # an end of the bracket this close to the price is a root
+_NEWTON_LAST_REL = 1e-15  # a Newton step expected to leave at most this excess, per unit of price, is the last
+_MAX_STEPS = 200  # a safety net: halving steps and bisections end far sooner
 _TIME_TOL = 1e-9  # payment dates this close are one date: one cashflow anchor, one bootstrap knot
 
 
@@ -175,8 +170,10 @@ def _pv_kernel(times: np.ndarray, amounts: np.ndarray, dr_dy=1.0):
 
     ``r`` is a scalar rate or one rate per cashflow. ``pv.disc`` is the buffer
     of discounted cashflows at the last ``r``. ``pv.slope(_)``, called right
-    after ``pv``, is that buffer dotted with ``-times * dr_dy``, where
+    after ``pv``, is that buffer times ``-times * dr_dy`` summed, where
     ``dr_dy`` is the derivative of each cashflow's rate in the solve's unknown.
+    numpy sums it, not BLAS, so the roots it steers do not depend on the BLAS
+    kernels.
     """
     neg_times = -times
     neg_t_dr = neg_times * dr_dy
@@ -189,136 +186,101 @@ def _pv_kernel(times: np.ndarray, amounts: np.ndarray, dr_dy=1.0):
         return float(np.add.reduce(disc))
 
     pv.disc = disc
-    pv.slope = lambda _: float(disc @ neg_t_dr)
+    pv.slope = lambda _: float(np.add.reduce(disc * neg_t_dr))
     return pv
 
 
-def _bisect(excess, tol: float, width: float, slope, guess: float) -> tuple[float, float] | None:
-    """Root of the decreasing function ``excess`` on ``YTM_BRACKET``, by bisection.
+def _solve(excess, slope, price: float, guess: float) -> float | None:
+    """Root of the decreasing function ``excess`` on ``YTM_BRACKET``, by safeguarded Newton.
 
-    Returns None when no root lies in the bracket (to within ``tol``).
-    Otherwise halves the bracket, at most 200 times, until a midpoint has
-    ``|excess| <= tol`` (that midpoint is the root) or the bracket is
-    narrower than ``width`` (its midpoint is), and returns the root with
-    ``excess`` at it: the value the last evaluation gave, or one more
-    evaluation when the width ended the loop.
+    ``excess`` is a present value minus ``price`` and ``slope`` its derivative,
+    called only right after ``excess`` at the same point, so it may reuse that
+    evaluation's work. Each step is a Newton step from the last point, kept
+    while it lands strictly inside the interval known to hold the root and
+    at most half as long as the step before; otherwise the next point is the
+    end of the bracket on the root's side, the first time the root lies
+    that way, and else the midpoint of the interval (Press et al.,
+    *Numerical Recipes*, ``rtsafe``). A guess outside the bracket starts
+    from its midpoint.
 
-    First, up to 16 tangent steps from ``guess`` fence the root. ``slope`` is
-    the derivative of ``excess``; it is called only right after ``excess`` at
-    the same point, so it may reuse that evaluation's work. The steps aim at
-    ``excess = 4 tol`` until a point ``a`` lands between 2 tol and 8 tol,
-    then take one step aimed at ``-6 tol`` to a point ``b``. Every
-    point evaluated on the way with ``excess > 2 tol`` certifies that side
-    of the root, and so does every one with ``excess < -2 tol``. The tangent
-    phase stops at a slope that is not finite and negative or a step that
-    leaves the open bracket; a guess outside it starts from the midpoint.
-
-    The bisection then runs unchanged, except that a midpoint at or left of
-    the rightmost ``excess > 2 tol`` point takes ``lo = mid`` and one at or
-    right of the leftmost ``excess < -2 tol`` point takes ``hi = mid``,
-    without calling ``excess``, and the bracket-end test is skipped on each
-    side that holds a certificate. This returns the plain bisection's float
-    (or None) bit for bit, provided ``excess`` is an evaluation of a
-    decreasing function with an error below ``tol / 2``: the exact function
-    is at least 2 tol - tol/2 at every point left of a certificate with
-    ``excess > 2 tol``, so its evaluation there would exceed ``tol`` and take
-    ``lo = mid``, and symmetrically on the other side. The pricing callers
-    meet this with room to spare: present value falls strictly with the
-    rate, and its rounding error is about 1e-14 of the price where tol is
-    1e-10 of it. Rounding is relative only above the subnormal range, so a
-    ``tol`` below 1e-300 skips the tangent phase.
+    An end is evaluated only when a point reaches it, and there the rule is
+    the plain bisection's: no root (None) when the excess has the root's
+    sign beyond ``tol = _PRICE_TOL_REL * price``, and the end itself as the
+    root when it has that sign within ``tol``. Otherwise the solve returns
+    the point where ``excess`` is 0, the midpoint of an interval no float
+    splits, or a Newton step without evaluating ``excess`` after it. That
+    is the step from a point that a Newton step reached: Newton's error is
+    second order, so the excess it leaves is about the excess at the point
+    times the square of the ratio of this step to the one before, and the
+    solve takes the step as the last once that is at most
+    ``_NEWTON_LAST_REL`` of the price, about the rounding of the price.
     """
     lo, hi = YTM_BRACKET
-    below, above = -math.inf, math.inf  # certificates: excess > 2 tol at below, < -2 tol at above
-    if tol > 1e-300:
-        x = guess if lo < guess < hi else 0.5 * (lo + hi)
-        target = 4.0 * tol
-        for _ in range(16):
-            f = excess(x)
-            if f > 2.0 * tol:
-                below = max(below, x)
-            elif f < -2.0 * tol:
-                above = min(above, x)
-            if target < 0:
-                break
-            if 2.0 * tol < f < 8.0 * tol:
-                target = -6.0 * tol
-            d = slope(x)
-            if not (-math.inf < d < 0):
-                break
-            x -= (f - target) / d
-            if not (lo < x < hi):
-                break
-    if below == -math.inf and excess(lo) < -tol or above == math.inf and excess(hi) > tol:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
-            hi = mid
+    tol = _PRICE_TOL_REL * price
+    a, b = lo, hi  # the root is in [a, b], or beyond an end not evaluated yet
+    seen_a = seen_b = False  # excess evaluated > 0 at a, < 0 at b
+    x = guess if lo < guess < hi else 0.5 * (lo + hi)
+    step_before = hi - lo
+    newton = 0.0  # the Newton step that reached x, 0 when x came another way
+    for _ in range(_MAX_STEPS):
+        f = excess(x)
+        if f > 0:
+            if x == hi:
+                return hi if f <= tol else None
+            a, seen_a = x, True
+        elif f < 0:
+            if x == lo:
+                return lo if f >= -tol else None
+            b, seen_b = x, True
         else:
-            f_mid = excess(mid)
-            if abs(f_mid) <= tol:
-                return mid, f_mid
-            if f_mid > 0:
-                lo = mid
-            else:
-                hi = mid
-        if hi - lo < width:
-            break
-    mid = 0.5 * (lo + hi)
-    return mid, excess(mid)
+            return x
+        d = slope(x)
+        step = f / d if d else math.nan
+        if a < x - step < b and abs(step) <= 0.5 * step_before:
+            left = abs(f) * (step / newton) ** 2 if newton else abs(f)
+            if left <= _NEWTON_LAST_REL * price:
+                return x - step
+            x, step_before = x - step, abs(step)
+            newton = step_before
+        elif not (seen_a if f < 0 else seen_b):
+            x, newton = lo if f < 0 else hi, 0.0
+        else:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                return mid
+            x, step_before, newton = mid, 0.5 * (b - a), 0.0
+    return 0.5 * (a + b)
 
 
 def _flat_guess(times: np.ndarray, amounts: np.ndarray, price: float) -> float:
     """The rate at which all the cashflows, paid at their amount-weighted mean
     time, are worth ``price``; clamped into the open ``YTM_BRACKET``.
 
-    A start for the tangent steps; by Jensen's inequality on ``exp(-r t)``
+    A start for the Newton steps; by Jensen's inequality on ``exp(-r t)``
     it lies at or left of the flat yield.
     """
     lo, hi = YTM_BRACKET
     total = float(np.add.reduce(amounts))
-    guess = (math.log(total) - math.log(price)) * total / float(times @ amounts)
+    guess = (math.log(total) - math.log(price)) * total / float(np.add.reduce(times * amounts))
     return min(max(guess, math.nextafter(lo, hi)), math.nextafter(hi, lo))
 
 
 def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what: str) -> float:
     """Flat rate equating the discounted cashflows to ``price``.
 
-    Bisection on the bracket, with a Newton polish once the residual is small.
-    PV is strictly decreasing in the rate so the bracket test is exact.
+    The safeguarded Newton solve on the bracket, from ``_flat_guess``. PV is
+    strictly decreasing in the rate, so the bracket test is exact.
     """
     pv = _pv_kernel(times, amounts)
-    root = _bisect(
-        lambda r: pv(r) - price,
-        _PRICE_TOL_REL * price,
-        1e-15,
-        slope=pv.slope,
-        guess=_flat_guess(times, amounts, price),
-    )
-    if root is None:
+    rate = _solve(lambda r: pv(r) - price, pv.slope, price, _flat_guess(times, amounts, price))
+    if rate is None:
         lo, hi = YTM_BRACKET
         raise NoSolutionError(
             f"{what}: price {price} outside attainable range "
             f"[{pv(hi):.6f}, {pv(lo):.6f}] "
             f"for rates in [{lo}, {hi}]"
         )
-    # Newton polish well past the contract tolerance; dPV/dr = -sum(t cf e^(-t r))
-    rate, resid = root
-    best_rate, best_resid = rate, abs(resid)
-    for _ in range(8):
-        if abs(resid) < best_resid:
-            best_rate, best_resid = rate, abs(resid)
-        if abs(resid) <= 1e-15 * price:
-            break
-        deriv = -float(np.add.reduce(times * amounts * np.exp(-times * rate)))
-        if deriv == 0:
-            break
-        rate -= resid / deriv
-        resid = pv(rate) - price
-    return best_rate
+    return rate
 
 
 def _yield(bond: Bond, record: _BondRecord) -> float:
@@ -384,12 +346,12 @@ def _place_knot(bond: Bond, ts: np.ndarray, ys: np.ndarray, n: int, diagnostics:
         ys[n] = y
         return pv(np.interp(times, ts[: n + 1], ys[: n + 1])) - price
 
-    root = _bisect(excess, _PRICE_TOL_REL * price, 1e-16, slope=pv.slope, guess=guess)
-    if root is None:
+    y = _solve(excess, pv.slope, price, guess)
+    if y is None:
         lo, hi = YTM_BRACKET
         diagnostics.append(f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {price}; skipped")
         return n
-    ys[n] = root[0]
+    ys[n] = y
     return n + 1
 
 
@@ -426,9 +388,9 @@ def bootstrap(snapshot: MarketSnapshot, base: BootstrapBase | None = None) -> Bo
     cashflows between the last knot and the new maturity see the linear
     interpolation toward the candidate knot, so the solved bond reprices
     exactly under the final curve. Present value is strictly decreasing in the
-    candidate yield, solved by bisection on the standard bracket; its tangent
-    phase starts from the previous knot's yield, or from ``_flat_guess`` for
-    the first knot.
+    candidate yield, solved by the safeguarded Newton solve on the standard
+    bracket from the previous knot's yield, or from ``_flat_guess`` for the
+    first knot.
 
     Bonds that cannot be repriced inside the bracket, and bonds sharing a
     maturity with an already-placed knot, are skipped and reported in the
