@@ -29,6 +29,8 @@ if the system is not numerically positive definite.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,6 +67,9 @@ class KrModel:
     ``anchor_times`` are the union of all cashflow dates, ``alphas`` the
     kernel weights, so ``d(t) = 1 + sum_l alphas[l] * k(t, anchor_times[l])``.
     ``objective`` and ``price_error`` echo the fitted optimum for diagnostics.
+    Both are stored as tuples of Python floats, from any sequence of numbers
+    (``fit_kr`` passes lists of floats), and checked as floats: no array is
+    built per model.
     """
 
     anchor_times: tuple[float, ...]
@@ -75,14 +80,14 @@ class KrModel:
     price_error: float = float("nan")
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor_times", tuple(float(t) for t in self.anchor_times))
-        object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
+        object.__setattr__(self, "anchor_times", tuple(map(float, self.anchor_times)))
+        object.__setattr__(self, "alphas", tuple(map(float, self.alphas)))
         if len(self.anchor_times) != len(self.alphas):
             raise ValidationError("anchor_times and alphas must have equal length")
-        if not np.isfinite(self.anchor_times + self.alphas).all():
+        if not all(map(math.isfinite, self.anchor_times + self.alphas)):
             raise ValidationError("anchor_times and alphas must be finite")
-        if not self.anchor_times or self.anchor_times[0] <= 0 or any(
-            t2 <= t1 for t1, t2 in zip(self.anchor_times, self.anchor_times[1:])
+        if not self.anchor_times or self.anchor_times[0] <= 0 or not all(
+            map(operator.lt, self.anchor_times, self.anchor_times[1:])
         ):
             raise ValidationError("anchor_times must be non-empty, strictly increasing and > 0")
         if not (0 < self.lam < np.inf):
@@ -98,7 +103,7 @@ def kr_kernel(s, t, kernel_params: KernelParams = KernelParams()):
     """Reproducing kernel value k(s, t); symmetric, PSD, k(s, 0+) -> 0."""
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(s_arr <= 0) or np.any(t_arr <= 0):
+    if not (np.all(s_arr > 0) and np.all(t_arr > 0)):  # NaN is not positive
         raise ValueError("kr_kernel requires positive arguments")
     lo = np.minimum(s_arr, t_arr)
     if kernel_params.b == 0:
@@ -289,8 +294,8 @@ def fit_kr(
 
     price_error, objective = _kr_score(layout, system, lam, alphas)
     return KrModel(
-        anchor_times=tuple(layout.anchor_times[kept]),
-        alphas=tuple(alphas[kept]),
+        anchor_times=layout.anchor_times[kept].tolist(),
+        alphas=alphas[kept].tolist(),
         lam=lam,
         kernel_params=kernel_params,
         objective=objective,
@@ -312,7 +317,7 @@ def kr_objective(snapshot: MarketSnapshot, model: KrModel, alphas=None) -> float
 def kr_discount(model: KrModel, t):
     """Discount factor d(t) = 1 + sum_l alpha_l k(t, t_l); t positive."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):  # NaN is not positive
         raise ValueError(f"kr_discount requires t > 0, got {t}")
     anchors, alphas = model._arrays
     kvals = kr_kernel(t_arr[..., None], anchors, model.kernel_params)

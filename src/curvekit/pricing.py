@@ -28,12 +28,16 @@ Both root solves, flat yields and bootstrap knots, are one
 safeguarded Newton solve on that kernel (``_solve``). It returns None by the
 plain bisection's bracket rule, and otherwise a root that reprices its bond
 to rounding, so yields, durations and knots match the direct formulas
-within stated tolerances, not bit for bit. No step of either solve goes
-through BLAS, so their bits do not depend on its kernels.
+within stated tolerances, not bit for bit. A bootstrap knot whose bond pays
+nothing between the previous knot and its maturity needs no solve: it has a
+closed form (``_closed_knot``) under the same bracket rule. No step of
+either solve or of the closed form goes through BLAS, so their bits do not
+depend on its kernels.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -101,15 +105,30 @@ class BootstrapCurve(YieldCurve):
 
 
 class _BondRecord:
-    """One bond's memoised analytics; ``ytm`` and ``duration`` stay None until solved."""
+    """One bond's memoised analytics; ``ytm`` and ``duration`` stay None until solved.
 
-    __slots__ = ("times", "amounts", "ytm", "duration")
+    ``times`` and ``amounts`` are every payment, face value included at
+    maturity. The bootstrap's closed-form knot reads them split at the
+    maturity: ``early_times`` and ``early_amounts`` are the payments before
+    it, ``at_maturity`` the total paid at it, and ``late`` whether a payment
+    falls after it (a last coupon that ``Bond`` allows within 1e-9 past it).
+    """
+
+    __slots__ = ("times", "amounts", "early_times", "early_amounts", "at_maturity", "late", "ytm", "duration")
 
     def __init__(self, bond: Bond):
-        self.times = np.array([cf.time for cf in bond.cashflows] + [bond.maturity])
+        times = [cf.time for cf in bond.cashflows]
+        self.times = np.array(times + [bond.maturity])
         self.amounts = np.array([cf.amount for cf in bond.cashflows] + [bond.face_value])
         self.times.flags.writeable = False
         self.amounts.flags.writeable = False
+        # coupon times strictly increase, so one coupon at most falls at the maturity
+        k = bisect.bisect_left(times, bond.maturity)
+        self.early_times, self.early_amounts = self.times[:k], self.amounts[:k]
+        on_maturity = k < len(times) and times[k] == bond.maturity
+        face = float(self.amounts[-1])
+        self.at_maturity = float(self.amounts[k]) + face if on_maturity else face
+        self.late = bool(times) and times[-1] > bond.maturity
         self.ytm: float | None = None
         self.duration: float | None = None
 
@@ -214,6 +233,10 @@ def _solve(excess, slope, price: float, guess: float) -> float | None:
     times the square of the ratio of this step to the one before, and the
     solve takes the step as the last once that is at most
     ``_NEWTON_LAST_REL`` of the price, about the rounding of the price.
+    A point that a Newton step reached is returned itself when the next
+    Newton step rounds back to it: the steps have reached the noise of the
+    evaluation, and bisecting on from the far side of the interval would
+    cost up to about 60 evaluations for no better root.
     """
     lo, hi = YTM_BRACKET
     tol = _PRICE_TOL_REL * price
@@ -242,6 +265,8 @@ def _solve(excess, slope, price: float, guess: float) -> float | None:
                 return x - step
             x, step_before = x - step, abs(step)
             newton = step_before
+        elif newton and x - step == x:
+            return x
         elif not (seen_a if f < 0 else seen_b):
             x, newton = lo if f < 0 else hi, 0.0
         else:
@@ -329,30 +354,71 @@ def forward_rate(curve: YieldCurve, t: float, h: float = 1e-4) -> float:
 def _place_knot(bond: Bond, ts: np.ndarray, ys: np.ndarray, n: int, diagnostics: list[str]) -> int:
     """Solve ``bond``'s knot into slot ``n`` after the ``n`` placed knots; the new knot count.
 
-    A skipped bond leaves the count as it was and appends why to ``diagnostics``.
+    The knot comes from the closed form (``_closed_knot``) when the bond pays
+    nothing after the last placed knot but at its maturity, and from the
+    safeguarded Newton solve (``_newton_knot``) when it pays strictly between
+    them or past its maturity. A skipped bond leaves the count as it was and
+    appends why to ``diagnostics``.
     """
     if n and abs(bond.maturity - ts[n - 1]) <= _TIME_TOL:
         diagnostics.append(f"bond {bond.id}: maturity {bond.maturity} duplicates an existing knot; skipped")
         return n
     ts[n] = bond.maturity
-    times, amounts = cashflow_schedule(bond)
-    # a cashflow's rate moves with the candidate by its interpolation weight
-    dr_dy = np.clip((times - ts[n - 1]) / (ts[n] - ts[n - 1]), 0.0, 1.0) if n else 1.0
-    pv = _pv_kernel(times, amounts, dr_dy)
+    record = _record(bond)
     price = bond.market_price
-    guess = float(ys[n - 1]) if n else _flat_guess(times, amounts, price)
-
-    def excess(y: float) -> float:
-        ys[n] = y
-        return pv(np.interp(times, ts[: n + 1], ys[: n + 1])) - price
-
-    y = _solve(excess, pv.slope, price, guess)
+    early = record.early_times
+    closed = not record.late and (not len(early) or n and early[-1] <= ts[n - 1])
+    y = (_closed_knot if closed else _newton_knot)(record, ts, ys, n, price)
     if y is None:
         lo, hi = YTM_BRACKET
         diagnostics.append(f"bond {bond.id}: no yield in [{lo}, {hi}] reprices {price}; skipped")
         return n
     ys[n] = y
     return n + 1
+
+
+def _newton_knot(record: _BondRecord, ts: np.ndarray, ys: np.ndarray, n: int, price: float) -> float | None:
+    """The knot at ``ts[n]`` that reprices the bond, by ``_solve`` from the previous knot's yield
+    (``_flat_guess`` for the first); None by the bracket rule. Writes its candidates to ``ys[n]``."""
+    times, amounts = record.times, record.amounts
+    # a cashflow's rate moves with the candidate by its interpolation weight
+    dr_dy = np.clip((times - ts[n - 1]) / (ts[n] - ts[n - 1]), 0.0, 1.0) if n else 1.0
+    pv = _pv_kernel(times, amounts, dr_dy)
+    guess = float(ys[n - 1]) if n else _flat_guess(times, amounts, price)
+
+    def excess(y: float) -> float:
+        ys[n] = y
+        return pv(np.interp(times, ts[: n + 1], ys[: n + 1])) - price
+
+    return _solve(excess, pv.slope, price, guess)
+
+
+def _closed_knot(record: _BondRecord, ts: np.ndarray, ys: np.ndarray, n: int, price: float) -> float | None:
+    """The knot at ``ts[n]``, the bond's maturity T, that reprices a bond paying nothing
+    between the last placed knot and T: ``ln(A / (price - F)) / T``.
+
+    ``F`` is the present value of the payments before T, all at or before the
+    last placed knot, so off the placed knots alone; numpy sums it, not
+    BLAS. ``A`` is the total paid at T (Hagan & West 2006, linear
+    interpolation in yield). A knot outside ``YTM_BRACKET``, or no knot at
+    all when ``price <= F``, gets ``_solve``'s bracket rule at the end on
+    the root's side: that end when the excess there is within
+    ``_PRICE_TOL_REL * price``, otherwise None.
+    """
+    early = record.early_times
+    F = 0.0
+    if len(early):
+        F = float(np.add.reduce(record.early_amounts * np.exp(-early * np.interp(early, ts[:n], ys[:n]))))
+    T, A = float(ts[n]), record.at_maturity
+    ratio = A / (price - F) if price > F else math.inf
+    y = math.log(ratio) / T if ratio > 0 else -math.inf
+    lo, hi = YTM_BRACKET
+    if lo < y < hi:
+        return y
+    end = hi if y >= hi else lo
+    f = F + A * math.exp(-T * end) - price
+    tol = _PRICE_TOL_REL * price
+    return end if (f <= tol if end == hi else f >= -tol) else None
 
 
 class BootstrapBase:
@@ -387,10 +453,12 @@ def bootstrap(snapshot: MarketSnapshot, base: BootstrapBase | None = None) -> Bo
     before the previous knots are discounted off the fixed earlier knots;
     cashflows between the last knot and the new maturity see the linear
     interpolation toward the candidate knot, so the solved bond reprices
-    exactly under the final curve. Present value is strictly decreasing in the
-    candidate yield, solved by the safeguarded Newton solve on the standard
-    bracket from the previous knot's yield, or from ``_flat_guess`` for the
-    first knot.
+    exactly under the final curve. When the bond pays nothing between the
+    last knot and its maturity, the knot is the closed form
+    ``ln(A / (price - F)) / T``; otherwise present value is strictly
+    decreasing in the candidate yield, solved by the safeguarded Newton
+    solve on the standard bracket from the previous knot's yield, or from
+    ``_flat_guess`` for the first knot.
 
     Bonds that cannot be repriced inside the bracket, and bonds sharing a
     maturity with an already-placed knot, are skipped and reported in the

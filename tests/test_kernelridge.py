@@ -12,6 +12,7 @@ from curvekit import (
     FitFailureError,
     InvalidDiscountError,
     KernelParams,
+    KrCurve,
     KrModel,
     MarketSnapshot,
     ScenarioSpec,
@@ -309,6 +310,18 @@ class TestYieldSurface:
         model = self.base_model((0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             kr_yield(model, 0.0)
+
+    def test_nan_time_is_a_domain_error(self):
+        # as in nss_yield, discount_factor and forward_rate: NaN is not a positive time
+        model = fit_kr(five_bond_snapshot())
+        with pytest.raises(ValueError, match="kr_kernel requires positive arguments"):
+            kr_kernel(math.nan, 1.0)
+        with pytest.raises(ValueError, match="kr_kernel requires positive arguments"):
+            kr_kernel(np.array([1.0, 2.0]), np.array([math.nan, 2.0]))
+        with pytest.raises(ValueError, match="kr_discount requires t > 0"):
+            kr_discount(model, math.nan)
+        with pytest.raises(ValueError, match="kr_discount requires t > 0"):
+            KrCurve(model).yields(np.array([1.0, math.nan]))
 
     def test_solver_recovers_rank_deficiency_with_jitter(self):
         # PSD but singular: the jitter path must produce a finite solution
