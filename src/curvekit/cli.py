@@ -225,8 +225,8 @@ def _load_for_command(path: str):
         return load_snapshot(path)
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+    except (ParseError, ValidationError) as exc:  # the message names the file at fault
+        print(f"error: {exc}", file=sys.stderr)
     return None
 
 

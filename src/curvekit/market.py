@@ -20,15 +20,23 @@ where the cashflows cell is ``t1:a1;t2:a2;...`` (empty for zero-coupon bonds).
 The benchmark lives in a companion file ``<name>.benchmark.csv`` with header
 ``tenor,rate``. The snapshot date is carried as a leading ``# date: ...``
 comment line. All times are in years, all rates decimal per annum.
+
+Both encodings read into the record form shown for JSON, a CSV cell as the
+text of its number, and one function validates it. Bytes that are not UTF-8,
+a CSV row of the wrong width or a boolean where a number belongs raise
+``ParseError``, a broken invariant ``ValidationError``; each names its file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +44,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 _REGIMES = ("flat", "rising", "falling")
+_CSV_HEADER = ("id", "face_value", "maturity", "market_price", "cashflows")
 
 # Longest maturity a generated bond may have, in years. A bond carries one
 # coupon date per year of life, so the cap also bounds its cashflow count.
@@ -45,7 +54,7 @@ MAX_MATURITY = 100.0
 _BENCHMARK_TENORS = (1 / 365, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cashflow:
     """One bond payment: time in years from the valuation date, amount in currency."""
 
@@ -64,9 +73,9 @@ class Bond:
     """A fixed-income instrument observed on one day.
 
     ``cashflows`` holds the coupon payments (the redemption of ``face_value``
-    at ``maturity`` is implicit and not listed). For a coupon bond the last
-    cashflow falls exactly at maturity; a zero-coupon bond has an empty list.
-    ``market_price`` is the observed dirty price.
+    at ``maturity`` is implicit and not listed). A coupon bond's last coupon
+    falls within 1e-9 of the maturity and is stored at it; a zero-coupon bond
+    has an empty list. ``market_price`` is the observed dirty price.
     """
 
     id: str
@@ -76,19 +85,20 @@ class Bond:
     market_price: float
 
     def __post_init__(self):
-        object.__setattr__(self, "cashflows", tuple(self.cashflows))
+        cashflows = tuple(self.cashflows)
         if not self.id:
             raise ValidationError("bond id must be non-empty")
-        times = [cf.time for cf in self.cashflows]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if cashflows and 0 < abs(cashflows[-1].time - self.maturity) <= 1e-9:  # one payment date, not two
+            cashflows = (*cashflows[:-1], Cashflow(self.maturity, cashflows[-1].amount))
+        object.__setattr__(self, "cashflows", cashflows)
+        times = [cf.time for cf in cashflows]
+        if any(map(operator.ge, times, times[1:])):
             raise ValidationError(f"bond {self.id}: cashflow times must be strictly increasing")
         if not (0 < self.maturity < math.inf):
             raise ValidationError(f"bond {self.id}: maturity must be finite and > 0, got {self.maturity}")
-        if times and not math.isclose(times[-1], self.maturity, rel_tol=0, abs_tol=1e-9):
-            raise ValidationError(
-                f"bond {self.id}: maturity must equal the last cashflow time "
-                f"({times[-1]} != {self.maturity})"
-            )
+        if times and times[-1] != self.maturity:
+            raise ValidationError(f"bond {self.id}: maturity must equal the last cashflow time "
+                                  f"({times[-1]} != {self.maturity})")
         if not (0 < self.face_value < math.inf):
             raise ValidationError(f"bond {self.id}: face_value must be finite and > 0, got {self.face_value}")
         if not (0 < self.market_price < math.inf):
@@ -247,10 +257,7 @@ def generate_scenario(spec: ScenarioSpec, date: str | None = None) -> MarketSnap
     coupon_rates = rng.uniform(spec.coupon_range[0], spec.coupon_range[1], size=spec.n_bonds)
     noise = rng.normal(0.0, spec.price_noise_sd, size=spec.n_bonds) if spec.price_noise_sd > 0 else np.zeros(spec.n_bonds)
 
-    benchmark = BenchmarkCurve(
-        tenors=_BENCHMARK_TENORS,
-        rates=tuple(float(r) for r in benchmark_rate(spec.regime, spec.base_rate, np.array(_BENCHMARK_TENORS))),
-    )
+    benchmark = BenchmarkCurve(_BENCHMARK_TENORS, benchmark_rate(spec.regime, spec.base_rate, _BENCHMARK_TENORS))
 
     face = 100.0
     width = max(3, len(str(spec.n_bonds)))
@@ -264,15 +271,7 @@ def generate_scenario(spec: ScenarioSpec, date: str | None = None) -> MarketSnap
         yields = benchmark.yields(times) + spec.spread_over_benchmark
         pv = float(np.sum(amount * np.exp(-times * yields))) + face * math.exp(-float(mat) * float(yields[-1]))
         price = pv * (1.0 + float(eps))
-        bonds.append(
-            Bond(
-                id=f"B{i + 1:0{width}d}",
-                cashflows=cashflows,
-                face_value=face,
-                maturity=float(mat),
-                market_price=price,
-            )
-        )
+        bonds.append(Bond(f"B{i + 1:0{width}d}", cashflows, face, float(mat), price))
 
     label = date if date is not None else f"synthetic-{spec.regime}-{spec.seed}"
     return MarketSnapshot(date=label, bonds=tuple(bonds), benchmark=benchmark)
@@ -302,28 +301,34 @@ def _snapshot_to_dict(snapshot: MarketSnapshot) -> dict:
     }
 
 
-def _snapshot_from_dict(data: dict) -> MarketSnapshot:
+def _number(value) -> float:
+    """A JSON number or a CSV cell as a float; a JSON boolean is not a number."""
+    if value.__class__ is bool:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _snapshot_from_dict(data: dict, path: Path, bench_path: Path) -> MarketSnapshot:
+    """Validate a snapshot record whose bonds came from ``path`` and benchmark from ``bench_path``."""
+    at_fault = bench_path
     try:
-        benchmark = BenchmarkCurve(
-            tenors=tuple(data["benchmark"]["tenors"]),
-            rates=tuple(data["benchmark"]["rates"]),
-        )
-        bonds = tuple(
-            Bond(
-                id=str(rec["id"]),
-                cashflows=tuple(Cashflow(float(cf["time"]), float(cf["amount"])) for cf in rec["cashflows"]),
-                face_value=float(rec["face_value"]),
-                maturity=float(rec["maturity"]),
-                market_price=float(rec["market_price"]),
-            )
+        bench = data["benchmark"]
+        tenors, rates = tuple(map(_number, bench["tenors"])), tuple(map(_number, bench["rates"]))
+        if len(tenors) != len(rates):  # a tenor without its rate, as a CSV row short of a cell
+            raise ValueError(f"{len(tenors)} benchmark tenors but {len(rates)} rates")
+        benchmark, at_fault = BenchmarkCurve(tenors, rates), path
+        bonds = [
+            Bond(str(rec["id"]),
+                 tuple([Cashflow(_number(cf["time"]), _number(cf["amount"])) for cf in rec["cashflows"]]),
+                 _number(rec["face_value"]), _number(rec["maturity"]), _number(rec["market_price"]))
             for rec in data["bonds"]
-        )
-        date = str(data.get("date", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ParseError(f"snapshot record is malformed: {exc}") from exc
-    return MarketSnapshot(date=date, bonds=bonds, benchmark=benchmark)
+        ]
+        return MarketSnapshot(str(data.get("date", "")), bonds, benchmark)
+    except ValidationError as exc:
+        raise ValidationError(f"{at_fault}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ParseError(f"{at_fault}: malformed record: {detail}") from exc
 
 
 def _benchmark_path(path: Path) -> Path:
@@ -334,20 +339,34 @@ def _format_cashflows(bond: Bond) -> str:
     return ";".join(f"{cf.time!r}:{cf.amount!r}" for cf in bond.cashflows)
 
 
-def _parse_cashflows(cell: str, bond_id: str) -> tuple[Cashflow, ...]:
-    cell = cell.strip()
-    if not cell:
-        return ()
-    flows = []
-    for piece in cell.split(";"):
-        try:
-            t_str, a_str = piece.split(":")
-            flows.append(Cashflow(float(t_str), float(a_str)))
-        except (ValueError, TypeError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ParseError(f"bond {bond_id}: bad cashflows cell segment {piece!r}") from exc
-    return tuple(flows)
+def _read(path: Path) -> str:
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _csv_rows(path: Path, header: tuple[str, ...]) -> tuple[list[list[str]], str]:
+    """The rows under ``header`` in the CSV file ``path``, and the date of its last ``# date:`` comment."""
+    lines = io.StringIO(_read(path), newline="").readlines()
+    comments = [line[1:].strip() for line in lines if line.startswith("#")]
+    dates = [comment[len("date:"):].strip() for comment in comments if comment.startswith("date:")]
+    try:
+        rows = [row for row in csv.reader(line for line in lines if not line.startswith("#")) if row]
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not rows or [cell.strip() for cell in rows[0]] != list(header):
+        raise ParseError(f"{path}: bad header {rows[0] if rows else None}, expected {list(header)}")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row has {len(row)} cells, expected {len(header)}: {row!r}")
+    return rows[1:], dates[-1] if dates else ""
+
+
+def _cashflow_records(cell: str) -> list[dict]:
+    # a segment without a colon gets an empty amount, which fails validation
+    segments = cell.split(";") if cell.strip() else []
+    return [{"time": t, "amount": a} for t, _, a in map(str.partition, segments, repeat(":"))]
 
 
 def save_snapshot(snapshot: MarketSnapshot, path, format: str = "json") -> None:
@@ -366,7 +385,7 @@ def save_snapshot(snapshot: MarketSnapshot, path, format: str = "json") -> None:
         with open(path, "w", newline="") as fh:
             fh.write(f"# date: {snapshot.date}\n")
             writer = csv.writer(fh)
-            writer.writerow(["id", "face_value", "maturity", "market_price", "cashflows"])
+            writer.writerow(_CSV_HEADER)
             for b in snapshot.bonds:
                 writer.writerow([b.id, repr(b.face_value), repr(b.maturity), repr(b.market_price), _format_cashflows(b)])
         with open(_benchmark_path(path), "w", newline="") as fh:
@@ -385,67 +404,16 @@ def load_snapshot(path, format: str | None = None) -> MarketSnapshot:
         format = "csv" if path.suffix.lower() == ".csv" else "json"
     if format == "json":
         try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ParseError(f"{path}: expected a JSON object at top level")
-        return _snapshot_from_dict(data)
+            data = json.loads(_read(path))
+        except (ValueError, RecursionError) as exc:  # not JSON, an int past the digit limit, or nested too deep
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        return _snapshot_from_dict(data, path, path)
     if format == "csv":
-        date = ""
-        bonds = []
-        with open(path, newline="") as fh:
-            rows = []
-            for line in fh:
-                if line.startswith("#"):
-                    if line[1:].strip().startswith("date:"):
-                        date = line[1:].strip()[len("date:"):].strip()
-                    continue
-                rows.append(line)
-        reader = csv.reader(rows)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty CSV file") from None
-        expected = ["id", "face_value", "maturity", "market_price", "cashflows"]
-        if [h.strip() for h in header] != expected:
-            raise ParseError(f"{path}: bad header {header!r}, expected {expected}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"{path}: row has {len(row)} cells, expected 5: {row!r}")
-            bond_id = row[0]
-            try:
-                bonds.append(
-                    Bond(
-                        id=bond_id,
-                        cashflows=_parse_cashflows(row[4], bond_id),
-                        face_value=float(row[1]),
-                        maturity=float(row[2]),
-                        market_price=float(row[3]),
-                    )
-                )
-            except ValueError as exc:
-                if isinstance(exc, ValidationError):
-                    raise
-                raise ParseError(f"{path}: bond {bond_id}: unparseable numeric field") from exc
+        rows, date = _csv_rows(path, _CSV_HEADER)
         bench_path = _benchmark_path(path)
-        tenors, rates = [], []
-        with open(bench_path, newline="") as fh:
-            reader = csv.reader(line for line in fh if not line.startswith("#"))
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["tenor", "rate"]:
-                raise ParseError(f"{bench_path}: bad header {header!r}, expected ['tenor', 'rate']")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    tenors.append(float(row[0]))
-                    rates.append(float(row[1]))
-                except ValueError as exc:
-                    raise ParseError(f"{bench_path}: unparseable row {row!r}") from exc
-        benchmark = BenchmarkCurve(tenors=tuple(tenors), rates=tuple(rates))
-        return MarketSnapshot(date=date, bonds=tuple(bonds), benchmark=benchmark)
+        bench_rows = _csv_rows(bench_path, ("tenor", "rate"))[0]
+        bonds = [{"id": bond_id, "face_value": face, "maturity": maturity, "market_price": price,
+                  "cashflows": _cashflow_records(cell)} for bond_id, face, maturity, price, cell in rows]
+        benchmark = {"tenors": [tenor for tenor, _ in bench_rows], "rates": [rate for _, rate in bench_rows]}
+        return _snapshot_from_dict({"date": date, "benchmark": benchmark, "bonds": bonds}, path, bench_path)
     raise ValidationError(f"format must be 'json' or 'csv', got {format!r}")

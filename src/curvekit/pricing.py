@@ -37,7 +37,6 @@ depend on its kernels.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -109,26 +108,22 @@ class _BondRecord:
 
     ``times`` and ``amounts`` are every payment, face value included at
     maturity. The bootstrap's closed-form knot reads them split at the
-    maturity: ``early_times`` and ``early_amounts`` are the payments before
-    it, ``at_maturity`` the total paid at it, and ``late`` whether a payment
-    falls after it (a last coupon that ``Bond`` allows within 1e-9 past it).
+    maturity, where ``Bond`` stores a coupon bond's last coupon:
+    ``early_times`` and ``early_amounts`` are every coupon but the last, and
+    ``at_maturity`` the total paid at the maturity.
     """
 
-    __slots__ = ("times", "amounts", "early_times", "early_amounts", "at_maturity", "late", "ytm", "duration")
+    __slots__ = ("times", "amounts", "early_times", "early_amounts", "at_maturity", "ytm", "duration")
 
     def __init__(self, bond: Bond):
-        times = [cf.time for cf in bond.cashflows]
-        self.times = np.array(times + [bond.maturity])
-        self.amounts = np.array([cf.amount for cf in bond.cashflows] + [bond.face_value])
+        cashflows = bond.cashflows
+        self.times = np.array([cf.time for cf in cashflows] + [bond.maturity])
+        self.amounts = np.array([cf.amount for cf in cashflows] + [bond.face_value])
         self.times.flags.writeable = False
         self.amounts.flags.writeable = False
-        # coupon times strictly increase, so one coupon at most falls at the maturity
-        k = bisect.bisect_left(times, bond.maturity)
+        k = max(len(cashflows) - 1, 0)
         self.early_times, self.early_amounts = self.times[:k], self.amounts[:k]
-        on_maturity = k < len(times) and times[k] == bond.maturity
-        face = float(self.amounts[-1])
-        self.at_maturity = float(self.amounts[k]) + face if on_maturity else face
-        self.late = bool(times) and times[-1] > bond.maturity
+        self.at_maturity = cashflows[-1].amount + bond.face_value if cashflows else bond.face_value
         self.ytm: float | None = None
         self.duration: float | None = None
 
@@ -357,8 +352,8 @@ def _place_knot(bond: Bond, ts: np.ndarray, ys: np.ndarray, n: int, diagnostics:
     The knot comes from the closed form (``_closed_knot``) when the bond pays
     nothing after the last placed knot but at its maturity, and from the
     safeguarded Newton solve (``_newton_knot``) when it pays strictly between
-    them or past its maturity. A skipped bond leaves the count as it was and
-    appends why to ``diagnostics``.
+    them. A skipped bond leaves the count as it was and appends why to
+    ``diagnostics``.
     """
     if n and abs(bond.maturity - ts[n - 1]) <= _TIME_TOL:
         diagnostics.append(f"bond {bond.id}: maturity {bond.maturity} duplicates an existing knot; skipped")
@@ -367,7 +362,7 @@ def _place_knot(bond: Bond, ts: np.ndarray, ys: np.ndarray, n: int, diagnostics:
     record = _record(bond)
     price = bond.market_price
     early = record.early_times
-    closed = not record.late and (not len(early) or n and early[-1] <= ts[n - 1])
+    closed = not len(early) or n and early[-1] <= ts[n - 1]
     y = (_closed_knot if closed else _newton_knot)(record, ts, ys, n, price)
     if y is None:
         lo, hi = YTM_BRACKET

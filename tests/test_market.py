@@ -1,7 +1,10 @@
 """Market data types, file round-trips, and the synthetic generator."""
 
+import csv
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from curvekit import (
     present_value,
     save_snapshot,
 )
-from curvekit.market import MAX_MATURITY
+from curvekit.cli import main as cli_main
+from curvekit.market import MAX_MATURITY, _CSV_HEADER, _snapshot_to_dict
 
 BENCH = BenchmarkCurve(tenors=(0.5, 2.0, 10.0), rates=(0.02, 0.025, 0.03))
 
@@ -169,6 +173,151 @@ class TestRoundTrip:
         assert lines[1] == "id,face_value,maturity,market_price,cashflows"
         bench_lines = (tmp_path / "day.benchmark.csv").read_text().splitlines()
         assert bench_lines[0] == "tenor,rate"
+
+
+def write_record(tmp_path, record) -> tuple:
+    """Write one snapshot record as ``d.json`` and as ``d.csv`` with its companion file.
+
+    A CSV cell is the text of its value; a bond without a field gets a row short
+    of that cell, and a benchmark short of a rate a companion row of one cell.
+    """
+    json_path, csv_path = tmp_path / "d.json", tmp_path / "d.csv"
+    json_path.write_text(json.dumps(record))
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(f"# date: {record['date']}\n")
+        writer = csv.writer(fh)
+        writer.writerow(_CSV_HEADER)
+        for bond in record["bonds"]:
+            flows = ";".join(f"{cf['time']}:{cf['amount']}" for cf in bond["cashflows"])
+            writer.writerow([bond[field] for field in _CSV_HEADER[:-1] if field in bond] + [flows])
+    bench = record["benchmark"]
+    with open(tmp_path / "d.benchmark.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tenor", "rate"])
+        for row in itertools.zip_longest(bench["tenors"], bench["rates"]):
+            writer.writerow([cell for cell in row if cell is not None])
+    return json_path, csv_path
+
+
+def day_record() -> dict:
+    return _snapshot_to_dict(generate_scenario(ScenarioSpec(regime="rising", n_bonds=6, price_noise_sd=0.002, seed=8)))
+
+
+# the record edits both encodings share, and whether the fault is in the benchmark
+MALFORMED_RECORDS = {
+    "non-number price": (lambda r: r["bonds"][1].update(market_price="abc"), False),
+    "non-number amount": (lambda r: r["bonds"][3]["cashflows"][0].update(amount="abc"), False),
+    "non-number rate": (lambda r: r["benchmark"]["rates"].__setitem__(4, "abc"), True),
+    "missing maturity": (lambda r: r["bonds"][1].pop("maturity"), False),
+    "boolean face value": (lambda r: r["bonds"][2].update(face_value=True), False),
+    "boolean amount": (lambda r: r["bonds"][3]["cashflows"][0].update(amount=True), False),
+    "boolean rate": (lambda r: r["benchmark"]["rates"].__setitem__(4, False), True),
+    "short benchmark row": (lambda r: r["benchmark"]["rates"].pop(), True),
+}
+
+
+class TestEncodingParity:
+    """JSON and CSV read into one record form and one function validates it, so the same
+    malformed record fails the same way from either file, naming the file at fault once."""
+
+    def test_a_valid_record_loads_to_the_same_snapshot(self, tmp_path):
+        json_path, csv_path = write_record(tmp_path, day_record())
+        assert load_snapshot(json_path) == load_snapshot(csv_path)
+
+    @pytest.mark.parametrize("case", MALFORMED_RECORDS)
+    def test_the_same_malformed_record_raises_the_same_error(self, tmp_path, case):
+        mutate, in_benchmark = MALFORMED_RECORDS[case]
+        record = day_record()
+        mutate(record)
+        json_path, csv_path = write_record(tmp_path, record)
+        faults = {json_path: json_path, csv_path: tmp_path / "d.benchmark.csv" if in_benchmark else csv_path}
+        for path, at_fault in faults.items():
+            with pytest.raises(ParseError) as info:
+                load_snapshot(path)
+            message = str(info.value)
+            assert message.startswith(f"{at_fault}: ") and message.count(at_fault.name) == 1, message
+
+    @pytest.mark.parametrize("case", ["short benchmark row", "non-number price"])
+    def test_the_cli_names_the_file_at_fault_once(self, tmp_path, capsys, case):
+        mutate, in_benchmark = MALFORMED_RECORDS[case]
+        record = day_record()
+        mutate(record)
+        _, csv_path = write_record(tmp_path, record)
+        assert cli_main(["fit", str(csv_path), "--estimator", "bootstrap", "-o", str(tmp_path / "m.json"),
+                         "--samples", str(tmp_path / "s.csv")]) == 3
+        err = capsys.readouterr().err
+        at_fault = tmp_path / ("d.benchmark.csv" if in_benchmark else "d.csv")
+        assert err.startswith(f"error: {at_fault}: ") and err.count("\n") == 1, err
+        assert err.count("d.csv") + err.count("d.benchmark.csv") == 1, err
+
+
+def write_day(tmp_path, name="d", fmt="csv"):
+    path = tmp_path / f"{name}.{fmt}"
+    save_snapshot(generate_scenario(ScenarioSpec(regime="falling", n_bonds=6, seed=3)), path, format=fmt)
+    return path
+
+
+class TestUnreadableFiles:
+    """Files that once ended in a traceback: each is a ParseError naming its file."""
+
+    def test_companion_row_of_one_cell(self, tmp_path):
+        path = write_day(tmp_path)
+        bench = tmp_path / "d.benchmark.csv"
+        lines = bench.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0]
+        bench.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(bench))}: row has 1 cells, expected 2"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("fmt,target", [("json", "d.json"), ("csv", "d.csv"), ("csv", "d.benchmark.csv")])
+    def test_bytes_that_are_not_utf8(self, tmp_path, fmt, target):
+        path = write_day(tmp_path, fmt=fmt)
+        bad = tmp_path / target
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        with pytest.raises(ParseError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
+            load_snapshot(path)
+
+    def test_a_row_with_too_few_cells_names_its_file_once(self, tmp_path):
+        path = write_day(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            load_snapshot(path)
+        assert str(info.value).startswith(f"{path}: row has 3 cells, expected 5")
+        assert str(info.value).count("d.csv") == 1
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, "1" * 5000], ids=["past-float-range", "past-int-digit-limit"])
+    def test_a_json_integer_that_is_no_float(self, tmp_path, value):
+        path = write_day(tmp_path, fmt="json")
+        data = json.loads(path.read_text())
+        data["bonds"][0]["market_price"] = 12345.678
+        path.write_text(json.dumps(data).replace("12345.678", value))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            load_snapshot(path)
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_snapshot(path)
+
+    def test_a_csv_cell_past_the_field_limit(self, tmp_path):
+        path = write_day(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2] += "9" * 200_000
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: field larger than field limit"):
+            load_snapshot(path)
+
+
+@pytest.mark.parametrize("regime", ["flat", "rising", "falling"])
+def test_json_and_csv_copies_of_generated_days_load_equal(tmp_path, regime):
+    for n_bonds, noise, seed in itertools.product((15, 30, 60), (0.0, 0.002, 0.01), range(5)):
+        snap = generate_scenario(ScenarioSpec(regime=regime, n_bonds=n_bonds, price_noise_sd=noise, seed=seed))
+        save_snapshot(snap, tmp_path / "d.json")
+        save_snapshot(snap, tmp_path / "d.csv", format="csv")
+        assert load_snapshot(tmp_path / "d.json") == load_snapshot(tmp_path / "d.csv") == snap
 
 
 class TestGenerator:

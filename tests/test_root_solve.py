@@ -220,7 +220,7 @@ class TestClosedForm:
             price = 0.9 * float(np.add.reduce(record.early_amounts * np.exp(-record.early_times * early)))
         else:
             price = PRICES[price_kind](rng, candidate)
-        assert not record.late and len(record.early_times) < len(times)
+        assert len(record.early_times) < len(times)
         closed = pricing._closed_knot(record, ts, ys.copy(), n, price)
         solved = pricing._newton_knot(record, ts, ys.copy(), n, price)
         reprices = lambda y: y is not None and abs(candidate(y) - price) <= REPRICE_REL * price  # noqa: E731
@@ -236,7 +236,7 @@ def path_day(*bonds: Bond) -> MarketSnapshot:
 
 class TestPath:
     """The payments after the previous knot pick a knot's path: the closed form when they
-    all fall at the maturity, the Newton solve when one falls before or past it."""
+    all fall at the maturity, the Newton solve when one falls before it."""
 
     @pytest.fixture
     def paths(self, monkeypatch):
@@ -257,17 +257,16 @@ class TestPath:
             self.bond("Z1", (), 1.0, 97.0),                          # first knot, one payment: closed, F = 0
             self.bond("C1", (1.0, 2.0), 2.0, 98.0),                  # coupon on the previous knot: closed
             self.bond("S3", (2.5, 3.0), 3.0, 96.0),                  # coupon strictly between: Newton
-            self.bond("L4", (3.0, 4.0 + 5e-10), 4.0, 95.0),          # last coupon past maturity: Newton
+            self.bond("L4", (3.0, 4.0 + 5e-10), 4.0, 95.0),          # last coupon stored at maturity: closed
             self.bond("D4", (), 4.0 + 5e-10, 80.0),                  # duplicates the 4.0 knot: skipped
             self.bond("Z5", (), 5.0, 85.0),                          # zero coupon after a knot: closed
         )
         curve = bootstrap(day)
         assert paths == [(1.0, "_closed_knot"), (2.0, "_closed_knot"), (3.0, "_newton_knot"),
-                         (4.0, "_newton_knot"), (5.0, "_closed_knot")]
+                         (4.0, "_closed_knot"), (5.0, "_closed_knot")]
         assert curve.knot_times == (1.0, 2.0, 3.0, 4.0, 5.0)
         assert curve.diagnostics == ("bond D4: maturity 4.0000000005 duplicates an existing knot; skipped",)
-        # L4's late coupon sits past its knot, so the 5.0 knot moves its rate; the others reprice
-        for bond in map(day.bond, ("Z1", "C1", "S3", "Z5")):
+        for bond in map(day.bond, ("Z1", "C1", "S3", "L4", "Z5")):
             assert abs(pricing.present_value(curve, bond) - bond.market_price) <= REPRICE_REL * bond.market_price
 
     def test_first_coupon_bond_takes_the_newton_solve(self, paths):
