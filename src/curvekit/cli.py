@@ -36,6 +36,7 @@ from .evaluation import (
     EvaluationReport,
     TenorGrid,
     drop_bonds_experiment,
+    fan_out,
     loo_experiment,
     perturb_price_experiment,
     refit,
@@ -223,8 +224,8 @@ def _load_for_command(path: str):
     """The snapshot at ``path``, or None after reporting why it cannot be read (exit 3)."""
     try:
         return load_snapshot(path)
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    except OSError as exc:  # the file at fault may be a CSV day's companion
+        print(f"error: cannot read {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
     except (ParseError, ValidationError) as exc:  # the message names the file at fault
         print(f"error: {exc}", file=sys.stderr)
     return None
@@ -373,8 +374,10 @@ def _scan_grid(args) -> list[tuple[tuple, Estimator]]:
 def _hyperscan(args, snapshots, grid) -> _Outcome:
     snapshot, = snapshots
     rows, metrics, scores = [], {}, {}
-    for (g1, g2, epochs, lr), estimator in grid:
-        score, exc = refit(estimator, snapshot, lambda curve: rmse_ytm(curve, snapshot))
+    # each cell is a whole NN fit of the one day, so the cells fan out like NN replicates
+    results = fan_out([partial(refit, estimator, snapshot, lambda curve: rmse_ytm(curve, snapshot))
+                       for _, estimator in grid])
+    for ((g1, g2, epochs, lr), _), (score, exc) in zip(grid, results):
         err = None if exc is None else str(exc)
         rows.append({"lr": lr, "epochs": epochs, "gamma1": g1, "gamma2": g2, "rmse_ytm": score, "error": err})
         metrics[f"rmse_ytm[lr={lr:g},epochs={epochs},g1={g1:g},g2={g2:g}]"] = score

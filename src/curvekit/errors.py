@@ -33,6 +33,9 @@ class DivergenceError(CurveKitError):
         self.epoch = epoch
         self.bond_index = bond_index
 
+    def __reduce__(self):  # pickled from a worker process: ``args`` holds the message alone
+        return type(self), (str(self), self.epoch, self.bond_index)
+
 
 class InvalidDiscountError(CurveKitError):
     """A fitted discount factor is zero or negative where a yield was requested."""

@@ -14,7 +14,9 @@ leave-one-out refit their replicates of one day through ``refit_many``, which
 applies that guard to each replicate and lets an estimator reuse the day's
 work (``Estimator.fit_many``). The unperturbed day that perturb and drop
 compare against is their replicate 0; stability's days are replicates of its
-first day.
+first day. Replicates of an estimator without that reuse are whole fits, and
+``fan_out`` spreads them over the CPUs this process may use, in forked
+workers, with the results of the serial loop.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -145,14 +150,121 @@ def refit_many(
     replicates: list[MarketSnapshot],
     score: Callable[[int, YieldCurve], Score],
 ) -> Iterator[tuple[Score | None, CurveKitError | None]]:
-    """``refit`` of each replicate of ``base`` through ``Estimator.fit_many``, lazily.
+    """``refit`` of each replicate of ``base`` through ``Estimator.fit_many``.
 
     Yields ``(score(i, curve), None)`` or ``(None, exc)`` for replicate i, in
-    order, fitting it only when asked for it; the one guard of ``refit``
-    decides each replicate's fate alone.
+    order; the one guard of ``refit`` decides each replicate's fate alone.
+    A replicate that reuses the day's work is a slice of it, fitted only when
+    asked for; without reuse each is a whole fit, and ``fan_out`` runs them.
     """
-    for i, fit in enumerate(estimator.fit_many(base, replicates)):
-        yield _guarded(fit, partial(score, i))
+    fits = estimator.fit_many(base, replicates)
+    calls = [partial(_guarded, fit, partial(score, i)) for i, fit in enumerate(fits)]
+    return _serial(calls) if estimator.reuse is not None else fan_out(calls)
+
+
+def _serial(calls: Iterable[Callable[[], tuple]]) -> Iterator[tuple]:
+    return (call() for call in calls)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot tell or cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return 1
+
+
+def _attempt(call: Callable[[], tuple]):
+    """``call()``, or None where it raises: the caller then runs it again in call order."""
+    try:
+        return call()
+    except Exception:
+        return None
+
+
+def _clean(result) -> bool:
+    """A ``(score, exc)`` pair as the guard returns it."""
+    return (type(result) is tuple and len(result) == 2
+            and (result[1] is None or isinstance(result[1], CurveKitError)))
+
+
+def _child(write_fd: int, calls: list) -> None:
+    """A forked worker: run ``calls`` and send their results back as one pickle; never returns."""
+    code = 1
+    try:
+        data = pickle.dumps([_attempt(call) for call in calls], pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)  # neither the caller's stack nor its stdio buffers run in the child
+
+
+def _receive(data: bytes, count: int) -> list:
+    """A worker's results, or ``count`` Nones where its pickle is cut short or not a list of them."""
+    try:
+        results = pickle.loads(data)
+    except Exception:
+        return [None] * count
+    return results if type(results) is list and len(results) == count else [None] * count
+
+
+def fan_out(calls: list[Callable[[], tuple]]) -> Iterator[tuple]:
+    """The results of ``calls``, guarded fits that each return a ``(score, exc)`` pair, in call order.
+
+    With more than one usable CPU the calls are dealt round-robin to
+    ``min(CPUs, calls)`` workers: this process and forked children, each
+    child sending its results back through a pipe as one pickle. The calls
+    never interact and a child inherits this process's state, so each result
+    is the serial one; a call's only output is its result, since what it
+    changes in a child's memory stays there. This process runs again, in
+    call order, every call whose result is not a clean pair (its child died,
+    or the call raised something other than a ``CurveKitError``), so what
+    that call raises is what the serial loop would raise. Every child is
+    reaped before this returns or raises, and killed first when this
+    process raises. On one CPU the calls run here, each when its result is
+    asked for.
+    """
+    workers = min(_usable_cpus(), len(calls))
+    if workers < 2:
+        return _serial(calls)
+    results = [None] * len(calls)
+    children = []  # (pid, read end of its pipe, indices of its calls)
+    finished = False
+    try:
+        for k in range(1, workers):
+            share = range(k, len(calls), workers)
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the calls of the workers not started run below
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                _child(write_fd, [calls[i] for i in share])
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        for i in range(0, len(calls), workers):
+            results[i] = _attempt(calls[i])
+        for pid, read_fd, share in children:
+            with open(read_fd, "rb", closefd=False) as fh:
+                received = _receive(fh.read(), len(share))
+            for i, result in zip(share, received):
+                results[i] = result
+        finished = True
+    finally:
+        for pid, read_fd, _ in children:
+            os.close(read_fd)
+            if not finished:
+                from signal import SIGKILL
+                with suppress(ProcessLookupError):
+                    os.kill(pid, SIGKILL)
+            with suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
+                os.waitpid(pid, 0)
+    return iter([result if _clean(result) else calls[i]() for i, result in enumerate(results)])
 
 
 # ---------------------------------------------------------------------------

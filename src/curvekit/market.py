@@ -308,6 +308,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _bond_id(value) -> str:
+    """A JSON string or a CSV cell; a JSON number, list or object is no bond id."""
+    if value.__class__ is not str:
+        raise TypeError(f"bond id must be a string, got {value!r}")
+    return value
+
+
 def _snapshot_from_dict(data: dict, path: Path, bench_path: Path) -> MarketSnapshot:
     """Validate a snapshot record whose bonds came from ``path`` and benchmark from ``bench_path``."""
     at_fault = bench_path
@@ -318,7 +325,7 @@ def _snapshot_from_dict(data: dict, path: Path, bench_path: Path) -> MarketSnaps
             raise ValueError(f"{len(tenors)} benchmark tenors but {len(rates)} rates")
         benchmark, at_fault = BenchmarkCurve(tenors, rates), path
         bonds = [
-            Bond(str(rec["id"]),
+            Bond(_bond_id(rec["id"]),
                  tuple([Cashflow(_number(cf["time"]), _number(cf["amount"])) for cf in rec["cashflows"]]),
                  _number(rec["face_value"]), _number(rec["maturity"]), _number(rec["market_price"]))
             for rec in data["bonds"]

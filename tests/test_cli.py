@@ -110,6 +110,17 @@ class TestFit:
     def test_missing_snapshot_exits_three(self, workdir):
         assert run(["fit", "absent.json", "--estimator", "kr"]) == 3
 
+    def test_missing_snapshot_is_named_once(self, workdir, capsys):
+        assert run(["fit", "absent.json", "--estimator", "kr"]) == 3
+        assert capsys.readouterr().err == "error: cannot read absent.json: No such file or directory\n"
+
+    def test_missing_csv_companion_is_named(self, workdir, capsys):
+        generate_day(workdir, name="day.csv", extra=("--format", "csv"))
+        (workdir / "day.benchmark.csv").unlink()
+        capsys.readouterr()
+        assert run(["fit", "day.csv", "--estimator", "bootstrap"]) == 3
+        assert capsys.readouterr().err == "error: cannot read day.benchmark.csv: No such file or directory\n"
+
     def test_bad_kr_lambda_exits_two(self, workdir):
         path = generate_day(workdir)
         assert run(["fit", str(path), "--estimator", "kr", "--kr-lambda", "-1"]) == 2

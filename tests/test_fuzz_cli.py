@@ -23,6 +23,7 @@ import warnings
 from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +221,12 @@ HYPERSCAN = COMMANDS["hyperscan"][0]
 def test_main_returns_an_exit_code_and_never_raises(case):
     argv, mutation = case
     assert run_case(argv, mutation) in EXIT_CODES
+
+
+@pytest.mark.parametrize("value", [5, 1.5, [], ["B001"], {}, None, True])
+def test_a_json_bond_id_that_is_not_a_string_exits_3(value):
+    # str() of any JSON value used to become the bond's id, and the day fitted
+    assert run_case(FIT_BOOTSTRAP, ("bond", 0, "id", value)) == 3
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -296,6 +296,15 @@ class TestUnreadableFiles:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("value", [5, [], {"id": "B001"}])
+    def test_a_json_bond_id_that_is_not_a_string(self, tmp_path, value):
+        path = write_day(tmp_path, fmt="json")
+        data = json.loads(path.read_text())
+        data["bonds"][0]["id"] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: malformed record: bond id must be a string"):
+            load_snapshot(path)
+
     def test_json_nested_past_the_recursion_limit(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text("[" * 100_000)

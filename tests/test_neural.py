@@ -1,6 +1,7 @@
 """Network evaluation, loss components, gradient checks, and training."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -259,6 +260,11 @@ class TestTraining:
             train(snap, config)
         assert err.value.epoch >= 0
         assert 0 <= err.value.bond_index < len(snap.bonds)
+
+    def test_divergence_survives_pickling(self):
+        # a replicate fitted in a worker process sends its error back pickled
+        err = pickle.loads(pickle.dumps(DivergenceError("training diverged: x", 3, 7)))
+        assert (type(err), str(err), err.epoch, err.bond_index) == (DivergenceError, "training diverged: x", 3, 7)
 
     def test_per_epoch_regularizer_mode(self):
         snap = generate_scenario(ScenarioSpec(regime="falling", n_bonds=8, seed=22))
