@@ -107,7 +107,9 @@ class Estimator:
     day (snapshots holding some of its bonds, any of them possibly
     repriced) that reuses the day's work and gives each replicate its
     ``fit``'s curve, bit for bit; any other snapshot (another stability day)
-    gets its ``fit``'s curve too.
+    gets its ``fit``'s curve too. Replicates fitted that way run one by one;
+    without ``reuse`` each is a whole fit, and ``fan_out`` forks workers for
+    them, which only pays for a fit that takes far longer than a fork.
     """
 
     name: str
@@ -149,6 +151,7 @@ def refit_many(
     base: MarketSnapshot,
     replicates: list[MarketSnapshot],
     score: Callable[[int, YieldCurve], Score],
+    stop_on_failed_first: bool = False,
 ) -> Iterator[tuple[Score | None, CurveKitError | None]]:
     """``refit`` of each replicate of ``base`` through ``Estimator.fit_many``.
 
@@ -156,10 +159,13 @@ def refit_many(
     order; the one guard of ``refit`` decides each replicate's fate alone.
     A replicate that reuses the day's work is a slice of it, fitted only when
     asked for; without reuse each is a whole fit, and ``fan_out`` runs them.
+    With ``stop_on_failed_first``, a failed replicate 0 (the reference a
+    caller compares the others with) is the only result, and no other
+    replicate is fitted after it or waited for.
     """
     fits = estimator.fit_many(base, replicates)
     calls = [partial(_guarded, fit, partial(score, i)) for i, fit in enumerate(fits)]
-    return _serial(calls) if estimator.reuse is not None else fan_out(calls)
+    return _serial(calls) if estimator.reuse is not None else fan_out(calls, stop_on_failed_first)
 
 
 def _serial(calls: Iterable[Callable[[], tuple]]) -> Iterator[tuple]:
@@ -184,12 +190,6 @@ def _attempt(call: Callable[[], tuple]):
         return None
 
 
-def _clean(result) -> bool:
-    """A ``(score, exc)`` pair as the guard returns it."""
-    return (type(result) is tuple and len(result) == 2
-            and (result[1] is None or isinstance(result[1], CurveKitError)))
-
-
 def _child(write_fd: int, calls: list) -> None:
     """A forked worker: run ``calls`` and send their results back as one pickle; never returns."""
     code = 1
@@ -203,15 +203,14 @@ def _child(write_fd: int, calls: list) -> None:
 
 
 def _receive(data: bytes, count: int) -> list:
-    """A worker's results, or ``count`` Nones where its pickle is cut short or not a list of them."""
+    """A worker's results, or ``count`` Nones where its pickle is cut short (the child died)."""
     try:
-        results = pickle.loads(data)
+        return pickle.loads(data)
     except Exception:
         return [None] * count
-    return results if type(results) is list and len(results) == count else [None] * count
 
 
-def fan_out(calls: list[Callable[[], tuple]]) -> Iterator[tuple]:
+def fan_out(calls: list[Callable[[], tuple]], stop_on_failed_first: bool = False) -> Iterator[tuple]:
     """The results of ``calls``, guarded fits that each return a ``(score, exc)`` pair, in call order.
 
     With more than one usable CPU the calls are dealt round-robin to
@@ -219,20 +218,23 @@ def fan_out(calls: list[Callable[[], tuple]]) -> Iterator[tuple]:
     child sending its results back through a pipe as one pickle. The calls
     never interact and a child inherits this process's state, so each result
     is the serial one; a call's only output is its result, since what it
-    changes in a child's memory stays there. This process runs again, in
-    call order, every call whose result is not a clean pair (its child died,
-    or the call raised something other than a ``CurveKitError``), so what
-    that call raises is what the serial loop would raise. Every child is
-    reaped before this returns or raises, and killed first when this
-    process raises. On one CPU the calls run here, each when its result is
-    asked for.
+    changes in a child's memory stays there. This process runs call 0 first,
+    and with ``stop_on_failed_first`` a failed call 0 is the only result:
+    the children are killed without being waited for. This process runs
+    again, in call order, every call that has no result (its child died, or
+    the call raised something other than a ``CurveKitError``), so what that
+    call raises is what the serial loop would raise. Every child is reaped
+    before this returns or raises, and killed first unless all its results
+    came back. On one CPU the calls run here, each when its result is asked
+    for.
     """
     workers = min(_usable_cpus(), len(calls))
     if workers < 2:
         return _serial(calls)
     results = [None] * len(calls)
     children = []  # (pid, read end of its pipe, indices of its calls)
-    finished = False
+    collected = False
+    parent = os.getpid()
     try:
         for k in range(1, workers):
             share = range(k, len(calls), workers)
@@ -247,24 +249,29 @@ def fan_out(calls: list[Callable[[], tuple]]) -> Iterator[tuple]:
                 _child(write_fd, [calls[i] for i in share])
             os.close(write_fd)
             children.append((pid, read_fd, share))
-        for i in range(0, len(calls), workers):
+        results[0] = calls[0]()  # nothing precedes it, so what it raises is what the serial loop raises
+        if stop_on_failed_first and results[0][1] is not None:
+            return iter(results[:1])
+        for i in range(workers, len(calls), workers):
             results[i] = _attempt(calls[i])
         for pid, read_fd, share in children:
             with open(read_fd, "rb", closefd=False) as fh:
                 received = _receive(fh.read(), len(share))
             for i, result in zip(share, received):
                 results[i] = result
-        finished = True
+        collected = True
     finally:
+        if os.getpid() != parent:  # a child interrupted before it reached _child's own os._exit
+            os._exit(1)
         for pid, read_fd, _ in children:
             os.close(read_fd)
-            if not finished:
+            if not collected:
                 from signal import SIGKILL
                 with suppress(ProcessLookupError):
                     os.kill(pid, SIGKILL)
             with suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
                 os.waitpid(pid, 0)
-    return iter([result if _clean(result) else calls[i]() for i, result in enumerate(results)])
+    return iter([calls[i]() if result is None else result for i, result in enumerate(results)])
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +372,7 @@ def perturb_price_experiment(
         ))
         for bump in bumps
     ]
-    results = refit_many(estimator, snapshot, [snapshot, *bumped], _grid_yields)
+    results = refit_many(estimator, snapshot, [snapshot, *bumped], _grid_yields, stop_on_failed_first=True)
     base = _base_yields(next(results))
     return [PerturbRow(float(bump), *_curve_move(base, result)) for bump, result in zip(bumps, results)]
 
@@ -420,7 +427,7 @@ def drop_bonds_experiment(
         replace(snapshot, bonds=(b for b in snapshot.bonds if b.id not in dropped))
         for sets in drop_sets for dropped in sets
     ]
-    results = refit_many(estimator, snapshot, [snapshot, *reduced], _grid_yields)
+    results = refit_many(estimator, snapshot, [snapshot, *reduced], _grid_yields, stop_on_failed_first=True)
     base = _base_yields(next(results))
     rows = []
     for count, sets in zip(drop_counts, drop_sets):

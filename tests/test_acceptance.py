@@ -10,6 +10,7 @@ import contextlib
 import json
 import math
 import time
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,7 +50,7 @@ from curvekit import (
     yield_to_maturity,
 )
 from curvekit.evaluation import BUCKET_LABELS
-from curvekit.kernelridge import KernelParams
+from curvekit.kernelridge import KernelParams, KrLayout
 from curvekit.neural import (
     NnParams,
     grad_loss_error,
@@ -59,7 +60,7 @@ from curvekit.neural import (
     loss_error,
 )
 from curvekit.nss import NssParams
-from curvekit.pricing import macaulay_duration
+from curvekit.pricing import BootstrapBase, macaulay_duration
 
 GRID = TenorGrid()
 
@@ -304,10 +305,16 @@ def test_criterion_5_regularizer_direction():
 def _desk_estimators():
     nss_cfg = NssFitConfig(starts=6, max_iter=4000, seed=0)
     nn_cfg = TrainConfig(epochs=150, seed=0)
+    kernel = KernelParams()
+
+    def kr(s, layout=None):
+        return KrCurve(fit_kr(s, 1e-2, kernel, layout))
+
+    # bootstrap and KR reuse the day's work as the command line does, so their replicates run serially
     return [
-        Estimator("bootstrap", lambda s: bootstrap(s)),
+        Estimator("bootstrap", bootstrap, lambda day: partial(bootstrap, base=BootstrapBase(day))),
         Estimator("nss", lambda s: NssCurve(fit_nss(s, nss_cfg))),
-        Estimator("kr", lambda s: KrCurve(fit_kr(s, 1e-2))),
+        Estimator("kr", kr, lambda day: partial(kr, layout=KrLayout(day, kernel))),
         Estimator("nn", lambda s: NnCurve(train(s, nn_cfg))),
     ]
 

@@ -228,6 +228,20 @@ def test_a_guarded_failure_comes_back_from_a_child(monkeypatch, n):
     assert [str(exc) for _, exc in results] == ["True", "False", "False" if n == 3 else "True"]
 
 
+@pytest.mark.parametrize("n", WORKERS)
+def test_a_failed_first_call_stops_the_others(monkeypatch, n):
+    use_cpus(monkeypatch, n)
+
+    def slow():
+        time.sleep(60)
+        return 1, None
+
+    start = time.monotonic()
+    results = evaluation.fan_out([lambda: (None, FitFailureError("base")), *[slow] * 4], stop_on_failed_first=True)
+    _, exc = next(results)  # a caller raises on it and asks for nothing more
+    assert str(exc) == "base" and time.monotonic() - start < 30
+
+
 def test_the_calls_of_a_worker_that_cannot_fork_run_in_the_parent(monkeypatch):
     use_cpus(monkeypatch, 3)
     forks = iter([os.fork])

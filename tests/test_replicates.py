@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curvekit import Bond, ScenarioSpec, cli, evaluation, generate_scenario, kernelridge, pricing, yield_to_maturity
+from curvekit import Bond, ScenarioSpec, cli, generate_scenario, kernelridge, pricing, yield_to_maturity
 from curvekit.cli import build_estimators, build_parser, main
 from curvekit.errors import CurveKitError
 from curvekit.evaluation import DEFAULT_TENORS, drop_bonds_experiment, loo_experiment, refit, stability_experiment
@@ -449,8 +449,6 @@ def test_other_estimators_run_the_same_fits(workdir, monkeypatch, name, fitter, 
 
 @pytest.mark.parametrize("kind", ["perturb", "drop"])
 def test_failed_nss_base_fit_is_the_only_fit(workdir, monkeypatch, kind):
-    # on one CPU the replicates are fitted one by one, after the base fit; on more they run beside it
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)
     generate(["--bonds", "5", "--seed", "3"])
     calls = counting(monkeypatch, cli, "fit_nss")
     flags = ["--counts", "1", "--mc", "3"] if kind == "drop" else []
