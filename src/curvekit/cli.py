@@ -25,7 +25,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -277,21 +277,12 @@ def _parse_estimators(text: str) -> list[str]:
     return names
 
 
-class _Outcome(NamedTuple):
-    """One estimator's protocol result, shaped for its report and the terminal."""
-
-    metrics: dict
-    details: list
-    provenance: dict  # protocol settings, echoed next to the seed and argv
-    n_failed: int     # failed replicate fits, recorded in the details
-    summary: str
-    per_bucket: dict | None = None
-
-
+# Each adapter runs one protocol for one estimator and returns its report, its
+# count of failed fits (recorded in the report) and its summary for the terminal.
 # Adapters call the protocol functions through this module's names at call
 # time, so a wrapper installed on the module (the benchmark tracer's) sees them.
 
-def _curve_moves(rows, label: str, tags) -> tuple[dict, str]:
+def _move_metrics(rows, label: str, tags) -> tuple[dict, str]:
     """Curve RMSE and MAD of perturb or drop rows: report metrics and summary cells."""
     metrics, cells = {}, []
     for row, tag in zip(rows, tags):
@@ -302,30 +293,36 @@ def _curve_moves(rows, label: str, tags) -> tuple[dict, str]:
     return metrics, ", ".join(cells)
 
 
-def _perturb(args, snapshots, estimator: Estimator) -> _Outcome:
+def _bucket_cells(values: dict, spec: str) -> str:
+    """``bucket: value`` per bucket, the value formatted by ``spec``, or ``n/a`` where there is none."""
+    return ", ".join(f"{bucket}: {'n/a' if value is None else format(value, spec)}" for bucket, value in values.items())
+
+
+def _perturb(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
     snapshot, = snapshots
     bond_id = args.bond or sort_bonds(snapshot.bonds)[-1].id
     rows = perturb_price_experiment(snapshot, estimator, bond_id, args.bumps)
-    metrics, shown = _curve_moves(rows, "bump", [f"{row.bump:g}" for row in rows])
-    return _Outcome(metrics, [row.__dict__ for row in rows], {"bond": bond_id, "bumps": list(args.bumps)},
-                    n_failed=sum(1 for row in rows if row.error),
-                    summary=f"perturb {estimator.name} (bond {bond_id}): {shown}")
+    metrics, shown = _move_metrics(rows, "bump", [f"{row.bump:g}" for row in rows])
+    report = EvaluationReport(estimator.name, "perturb", metrics, None,
+                              _provenance(args, {"bond": bond_id, "bumps": list(args.bumps)}),
+                              [row.__dict__ for row in rows])
+    return report, sum(1 for row in rows if row.error), f"perturb {estimator.name} (bond {bond_id}): {shown}"
 
 
-def _drop(args, snapshots, estimator: Estimator) -> _Outcome:
+def _drop(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
     snapshot, = snapshots
     rows = drop_bonds_experiment(snapshot, estimator, args.counts, args.mc, seed=args.seed)
-    metrics, shown = _curve_moves(rows, "drop", [row.count for row in rows])
+    metrics, shown = _move_metrics(rows, "drop", [row.count for row in rows])
     details = [
         {"count": row.count, "n_failed": row.n_failed, "replications": [rep.__dict__ for rep in row.replications]}
         for row in rows
     ]
-    return _Outcome(metrics, details, {"counts": list(args.counts), "mc": args.mc},
-                    n_failed=sum(row.n_failed for row in rows),
-                    summary=f"drop {estimator.name} ({args.mc} MC): {shown}")
+    report = EvaluationReport(estimator.name, "drop", metrics, None,
+                              _provenance(args, {"counts": list(args.counts), "mc": args.mc}), details)
+    return report, sum(row.n_failed for row in rows), f"drop {estimator.name} ({args.mc} MC): {shown}"
 
 
-def _stability(args, snapshots, estimator: Estimator) -> _Outcome:
+def _stability(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
     result = stability_experiment(snapshots, estimator, threshold=args.threshold)
     per_bucket = {}
     for bucket, hit_rate in result.hit_rate.items():
@@ -336,31 +333,24 @@ def _stability(args, snapshots, estimator: Estimator) -> _Outcome:
         {"fixed_tenor_series": list(result.fixed_tenor_series)},
         {"skipped": list(result.skipped)},
     ]
-    rates = ", ".join(
-        f"{bucket}: {rate:.0%}" if rate is not None else f"{bucket}: n/a"
-        for bucket, rate in result.hit_rate.items()
-    )
+    report = EvaluationReport(estimator.name, "stability", {"hit_rate": result.hit_rate["Full"]}, per_bucket,
+                              _provenance(args, {"threshold": args.threshold, "days": len(snapshots)}), details)
     summary = (f"stability {estimator.name} over {len(snapshots)} days, "
-               f"hit rate @ {args.threshold * 1e4:g} bp: {rates}")
-    provenance = {"threshold": args.threshold, "days": len(snapshots)}
-    return _Outcome({"hit_rate": result.hit_rate["Full"]}, details, provenance,
-                    n_failed=len(result.skipped), summary=summary, per_bucket=per_bucket)
+               f"hit rate @ {args.threshold * 1e4:g} bp: {_bucket_cells(result.hit_rate, '.0%')}")
+    return report, len(result.skipped), summary
 
 
-def _loo(args, snapshots, estimator: Estimator) -> _Outcome:
+def _loo(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
     snapshot, = snapshots
     result = loo_experiment(snapshot, estimator, args.mc, bucket_filter=args.bucket, seed=args.seed)
     per_bucket = {
         bucket: {"rmse_ytm_loo": rmse, "count": result.counts[bucket]}
         for bucket, rmse in result.per_bucket.items()
     }
-    cells = ", ".join(
-        f"{bucket}: {rmse:.6f}" if rmse is not None else f"{bucket}: n/a"
-        for bucket, rmse in result.per_bucket.items()
-    )
-    return _Outcome({"rmse_ytm_loo": result.per_bucket["Full"]}, [rep.__dict__ for rep in result.replications],
-                    {"mc": args.mc, "bucket_filter": args.bucket}, n_failed=result.n_failed,
-                    summary=f"loo {estimator.name} ({args.mc} MC): {cells}", per_bucket=per_bucket)
+    report = EvaluationReport(estimator.name, "loo", {"rmse_ytm_loo": result.per_bucket["Full"]}, per_bucket,
+                              _provenance(args, {"mc": args.mc, "bucket_filter": args.bucket}),
+                              [rep.__dict__ for rep in result.replications])
+    return report, result.n_failed, f"loo {estimator.name} ({args.mc} MC): {_bucket_cells(result.per_bucket, '.6f')}"
 
 
 def _scan_grid(args) -> list[tuple[tuple, Estimator]]:
@@ -371,7 +361,7 @@ def _scan_grid(args) -> list[tuple[tuple, Estimator]]:
     ]
 
 
-def _hyperscan(args, snapshots, grid) -> _Outcome:
+def _hyperscan(args, snapshots, grid) -> tuple[EvaluationReport, int, str]:
     snapshot, = snapshots
     rows, metrics, scores = [], {}, {}
     # each cell is a whole NN fit of the one day, so the cells fan out like NN replicates
@@ -393,8 +383,8 @@ def _hyperscan(args, snapshots, grid) -> _Outcome:
             lines.append(f"  {epochs:>11} " + "".join(
                 f"{score:>12.6f}" if score is not None else f"{'fail':>12}" for score in cells))
     provenance = {key: list(getattr(args, key)) for key in ("lr", "epochs", "gamma1", "gamma2")}
-    return _Outcome(metrics, rows, provenance,
-                    n_failed=sum(1 for r in rows if r["error"]), summary="\n".join(lines))
+    report = EvaluationReport("nn", "hyperscan", metrics, None, _provenance(args, provenance), rows)
+    return report, sum(1 for r in rows if r["error"]), "\n".join(lines)
 
 
 ADAPTERS = {"perturb": _perturb, "drop": _drop, "stability": _stability, "loo": _loo, "hyperscan": _hyperscan}
@@ -422,12 +412,10 @@ def cmd_experiment(args) -> int:
                 return EXIT_IO
             snapshots.append(snap)
         for name, estimator in selected:
-            out = ADAPTERS[kind](args, snapshots, estimator)
-            n_failed += out.n_failed
-            report = EvaluationReport(name, kind, out.metrics, per_bucket=out.per_bucket,
-                                      provenance=_provenance(args, out.provenance), details=out.details)
+            report, failed, summary = ADAPTERS[kind](args, snapshots, estimator)
+            n_failed += failed
             reports.append((report, f"{args.output}.{kind}.{name}.{args.format}"))
-            print(out.summary)
+            print(summary)
         for report, path in reports:
             write_report(report, path, format=args.format)
             print(f"wrote {path}")

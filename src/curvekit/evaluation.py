@@ -89,12 +89,6 @@ def _bucket_mask(tenors: np.ndarray, bucket: str) -> np.ndarray:
     return np.array([bucket == "Full" or bucket_of(t) == bucket for t in tenors], dtype=bool)
 
 
-def bucket_grid(grid, bucket: str) -> np.ndarray:
-    """Grid tenors falling in ``bucket`` ('Full' returns the whole grid)."""
-    tenors = _tenor_array(grid)
-    return tenors[_bucket_mask(tenors, bucket)]
-
-
 def curve_yields(curve: YieldCurve, grid) -> np.ndarray:
     return curve.yields(_tenor_array(grid))
 
@@ -312,29 +306,21 @@ def _check_n_mc(n_mc: int) -> None:
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
 
 
-def _grid_yields(_, curve: YieldCurve) -> np.ndarray:
-    return curve_yields(curve, DEFAULT_TENORS)
+def _curve_moves(snapshot: MarketSnapshot, estimator: Estimator, replicates: list[MarketSnapshot]) -> Iterator[tuple]:
+    """``(rmse, mad, error)`` of each replicate's curve against the day's own, in order, over the grid.
 
-
-def _base_yields(result) -> np.ndarray:
-    """Grid yields of the reference curve, replicate 0, that every other replicate is compared with.
-
-    A failure to fit or to evaluate it ends the experiment, so it is raised
-    as a compute failure even when the estimator rejected the snapshot as
-    invalid input.
+    The day is fitted first, as replicate 0, before this returns. A failure
+    to fit or to evaluate it ends the experiment, so it is raised as a
+    ``FitFailureError`` even when the estimator rejected the snapshot as
+    invalid input; a failed replicate gives ``(None, None, str(exc))``.
     """
-    ys, exc = result
+    results = refit_many(estimator, snapshot, [snapshot, *replicates],
+                         lambda _, curve: curve_yields(curve, DEFAULT_TENORS), stop_on_failed_first=True)
+    base, exc = next(results)
     if exc is not None:
         raise FitFailureError(str(exc)) from exc
-    return ys
-
-
-def _curve_move(base: np.ndarray, result):
-    """RMSE and MAD of a replicate fit's grid yields against ``base``, and the error of a failed fit."""
-    ys, exc = result
-    if exc is not None:
-        return None, None, str(exc)
-    return _rmse(base, ys), _mad(base, ys), None
+    return ((None, None, str(err)) if err is not None else (_rmse(base, ys), _mad(base, ys), None)
+            for ys, err in results)
 
 
 @dataclass(frozen=True)
@@ -372,9 +358,7 @@ def perturb_price_experiment(
         ))
         for bump in bumps
     ]
-    results = refit_many(estimator, snapshot, [snapshot, *bumped], _grid_yields, stop_on_failed_first=True)
-    base = _base_yields(next(results))
-    return [PerturbRow(float(bump), *_curve_move(base, result)) for bump, result in zip(bumps, results)]
+    return [PerturbRow(float(bump), *move) for bump, move in zip(bumps, _curve_moves(snapshot, estimator, bumped))]
 
 
 @dataclass(frozen=True)
@@ -427,11 +411,10 @@ def drop_bonds_experiment(
         replace(snapshot, bonds=(b for b in snapshot.bonds if b.id not in dropped))
         for sets in drop_sets for dropped in sets
     ]
-    results = refit_many(estimator, snapshot, [snapshot, *reduced], _grid_yields, stop_on_failed_first=True)
-    base = _base_yields(next(results))
+    moves = _curve_moves(snapshot, estimator, reduced)
     rows = []
     for count, sets in zip(drop_counts, drop_sets):
-        reps = [DropReplication(dropped, *_curve_move(base, next(results))) for dropped in sets]
+        reps = [DropReplication(dropped, *next(moves)) for dropped in sets]
         ok = [r for r in reps if r.error is None]
         rows.append(
             DropRow(
@@ -447,7 +430,6 @@ def drop_bonds_experiment(
 
 @dataclass(frozen=True)
 class StabilityResult:
-    dates: tuple[str, ...]
     day_rmse: tuple[dict, ...]          # one dict per consecutive-day pair, bucket -> rmse
     hit_rate: dict                       # bucket -> fraction of pairs with rmse < threshold
     fixed_tenor_series: tuple[dict, ...]  # per fitted day: date + curve/benchmark at 6M/2Y/10Y
@@ -509,7 +491,6 @@ def stability_experiment(
         vals = [d[bucket] for d in day_rmse if d[bucket] is not None]
         hit_rate[bucket] = float(np.mean([v < threshold for v in vals])) if vals else None
     return StabilityResult(
-        dates=tuple(s.date for s in snapshots),
         day_rmse=tuple(day_rmse),
         hit_rate=hit_rate,
         fixed_tenor_series=tuple(series),

@@ -23,8 +23,9 @@ comment line. All times are in years, all rates decimal per annum.
 
 Both encodings read into the record form shown for JSON, a CSV cell as the
 text of its number, and one function validates it. Bytes that are not UTF-8,
-a CSV row of the wrong width or a boolean where a number belongs raise
-``ParseError``, a broken invariant ``ValidationError``; each names its file.
+a CSV row of the wrong width, a boolean where a number belongs or a bond id
+or date that is not a string raise ``ParseError``, a broken invariant
+``ValidationError``; each names its file.
 """
 
 from __future__ import annotations
@@ -308,10 +309,10 @@ def _number(value) -> float:
     return float(value)
 
 
-def _bond_id(value) -> str:
-    """A JSON string or a CSV cell; a JSON number, list or object is no bond id."""
+def _text(value, what: str) -> str:
+    """A JSON string or a CSV cell; a JSON number, list, object or null is no bond id or date."""
     if value.__class__ is not str:
-        raise TypeError(f"bond id must be a string, got {value!r}")
+        raise TypeError(f"{what} must be a string, got {value!r}")
     return value
 
 
@@ -325,12 +326,12 @@ def _snapshot_from_dict(data: dict, path: Path, bench_path: Path) -> MarketSnaps
             raise ValueError(f"{len(tenors)} benchmark tenors but {len(rates)} rates")
         benchmark, at_fault = BenchmarkCurve(tenors, rates), path
         bonds = [
-            Bond(_bond_id(rec["id"]),
+            Bond(_text(rec["id"], "bond id"),
                  tuple([Cashflow(_number(cf["time"]), _number(cf["amount"])) for cf in rec["cashflows"]]),
                  _number(rec["face_value"]), _number(rec["maturity"]), _number(rec["market_price"]))
             for rec in data["bonds"]
         ]
-        return MarketSnapshot(str(data.get("date", "")), bonds, benchmark)
+        return MarketSnapshot(_text(data.get("date", ""), "date"), bonds, benchmark)
     except ValidationError as exc:
         raise ValidationError(f"{at_fault}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

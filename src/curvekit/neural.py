@@ -6,7 +6,8 @@ stochastic gradient steps on
 
     loss_j = (p_j - p_hat_j)^2 + gamma1 * L_smooth + gamma2 * L_trend
 
-where L_smooth is the largest absolute slope of the fitted curve over a fixed
+where p_j and p_hat_j are bond j's market and model prices per 100 of face,
+L_smooth is the largest absolute slope of the fitted curve over a fixed
 tenor grid and L_trend the mean absolute slope gap to the benchmark curve over
 the same grid. Gradients are hand-written backpropagation through the bond
 present value, the discount map exp(-t*y), and the network; the max in
@@ -269,11 +270,20 @@ def _theta(params: NnParams) -> np.ndarray:
 
 
 def _bond_passes(snapshot: MarketSnapshot, h: int, tenors=None) -> list[_Pass]:
-    """One pass per bond, in ascending maturity order (ties by id)."""
-    return [
-        _Pass(h, *cashflow_schedule(b), b.market_price, b.id, tenors)
-        for b in sort_bonds(snapshot.bonds)
-    ]
+    """One pass per bond, in ascending maturity order (ties by id), priced per 100 of face.
+
+    Each bond's amounts and price are scaled by 100 / face, so the loss and
+    the learning rate do not depend on the unit a day is quoted in; on a
+    face-100 bond the factor is exactly 1.0 and changes no bit. An amount
+    that overflows is inf, and the loss then reports it as not finite.
+    """
+    passes = []
+    with np.errstate(over="ignore"):
+        for b in sort_bonds(snapshot.bonds):
+            times, amounts = cashflow_schedule(b)
+            scale = 100.0 / b.face_value
+            passes.append(_Pass(h, times, amounts * scale, b.market_price * scale, b.id, tenors))
+    return passes
 
 
 def _grad_penalty(params: NnParams, pen: _Penalty):
@@ -285,7 +295,7 @@ def _grad_penalty(params: NnParams, pen: _Penalty):
 
 
 def loss_error(params: NnParams, snapshot: MarketSnapshot) -> float:
-    """Mean squared price error of the network curve over the snapshot."""
+    """Mean squared price error of the network curve over the snapshot, prices per 100 of face."""
     return grad_loss_error(params, snapshot)[0]
 
 
@@ -323,7 +333,7 @@ def grad_loss_trend(params: NnParams, benchmark: BenchmarkCurve, grid):
 
 
 def total_loss(params: NnParams, snapshot: MarketSnapshot, config: TrainConfig) -> float:
-    """Price error plus gamma-weighted smoothness and trend penalties."""
+    """Price error (per 100 of face, as ``loss_error``) plus gamma-weighted smoothness and trend penalties."""
     return grad_total_loss(params, snapshot, config)[0]
 
 

@@ -454,3 +454,26 @@ def test_commands_run_without_scipy(workdir):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert (workdir / "kr.model.json").exists() and (workdir / "rep.loo.kr.json").exists()
+
+
+# A command's set-up time is interpreter start plus this import, so the import
+# leaves process and signal machinery to the code that forks (evaluation.fan_out)
+IMPORT_SET = """
+import sys
+import numpy
+with_numpy = set(sys.modules)
+import curvekit.cli
+print(" ".join(sorted(set(sys.modules) - with_numpy)))
+"""
+
+NOT_AT_IMPORT = ("multiprocessing", "concurrent", "signal", "subprocess", "scipy")
+
+
+def test_importing_the_cli_loads_no_process_machinery_or_scipy():
+    src = str(Path(curvekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_SET], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "curvekit.cli" in added
+    assert [name for name in added if name.split(".")[0] in NOT_AT_IMPORT] == []

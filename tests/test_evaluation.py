@@ -34,7 +34,7 @@ from curvekit import (
     write_report,
     yield_to_maturity,
 )
-from curvekit.evaluation import BUCKET_LABELS, bucket_grid, curve_yields, refit
+from curvekit.evaluation import BUCKET_LABELS, curve_yields, refit
 from curvekit.pricing import YieldCurve
 
 GRID = TenorGrid()
@@ -192,6 +192,15 @@ class TestUnevaluableCurve:
             experiment(zc_snapshot, unevaluable_except([]))
         assert isinstance(info.value.__cause__, InvalidDiscountError)
 
+    @pytest.mark.parametrize("experiment", [
+        lambda snap, est: perturb_price_experiment(snap, est, snap.bonds[-1].id, []),
+        lambda snap, est: drop_bonds_experiment(snap, est, [], n_mc=1, seed=0),
+    ])
+    def test_base_fit_is_checked_with_no_replicates(self, zc_snapshot, experiment):
+        # the base fit runs before any replicate is asked for, so a protocol without replicates still runs it
+        with pytest.raises(FitFailureError, match="non-positive"):
+            experiment(zc_snapshot, unevaluable_except([]))
+
     def test_stability_skips_the_day(self):
         days = [
             generate_scenario(ScenarioSpec(regime="falling", n_bonds=10, seed=70, base_rate=0.03 + 0.0004 * i),
@@ -213,7 +222,7 @@ class TestBuckets:
         assert bucket_of(10.001) == ">10Y"
 
     def test_partition_is_disjoint_and_complete(self):
-        parts = [bucket_grid(GRID, b) for b in BUCKET_LABELS[1:]]
+        parts = [np.array([t for t in GRID if bucket_of(t) == b]) for b in BUCKET_LABELS[1:]]
         union = np.sort(np.concatenate(parts))
         assert np.array_equal(union, np.array(GRID.tenors))
         assert sum(len(p) for p in parts) == len(GRID.tenors)
@@ -221,7 +230,7 @@ class TestBuckets:
     def test_full_metric_equals_union_metric(self):
         rng = np.random.default_rng(7)
         a, b = random_curve(rng), random_curve(rng)
-        parts = [bucket_grid(GRID, lbl) for lbl in BUCKET_LABELS[1:]]
+        parts = [np.array([t for t in GRID if bucket_of(t) == lbl]) for lbl in BUCKET_LABELS[1:]]
         sq_sum = sum(np.sum((curve_yields(a, p) - curve_yields(b, p)) ** 2) for p in parts)
         expected = math.sqrt(sq_sum / len(GRID.tenors))
         assert rmse_curve(a, b, GRID) == pytest.approx(expected, rel=1e-12)
@@ -351,7 +360,7 @@ class TestStability:
             expected = rmse_curve(result.curves[i + 1], result.curves[i], GRID)
             assert entry["Full"] == pytest.approx(expected, rel=1e-12)
             for bucket in BUCKET_LABELS[1:]:
-                sub = bucket_grid(GRID, bucket)
+                sub = np.array([t for t in GRID if bucket_of(t) == bucket])
                 assert entry[bucket] == pytest.approx(
                     rmse_curve(result.curves[i + 1], result.curves[i], sub), rel=1e-12
                 )

@@ -217,6 +217,7 @@ HYPERSCAN = COMMANDS["hyperscan"][0]
 @example(case=(FIT_BOOTSTRAP, ("bytes", "day.json", 0, b"\xff\xfe")))
 @example(case=(FIT_BOOTSTRAP, ("bytes", "day.csv", 0, b"\xff\xfe")))
 @example(case=(FIT_BOOTSTRAP, ("bond", 0, "market_price", 10**400)))  # an int past float's range
+@example(case=(FIT_BOOTSTRAP, ("top", "date", [1, {"a": 2}])))  # loaded as the date "[1, {'a': 2}]"
 @example(case=(FIT_BOOTSTRAP, ("csv-cell", "day.csv", 2, 1, "9" * 200_000)))  # past the csv field limit
 def test_main_returns_an_exit_code_and_never_raises(case):
     argv, mutation = case
@@ -227,6 +228,12 @@ def test_main_returns_an_exit_code_and_never_raises(case):
 def test_a_json_bond_id_that_is_not_a_string_exits_3(value):
     # str() of any JSON value used to become the bond's id, and the day fitted
     assert run_case(FIT_BOOTSTRAP, ("bond", 0, "id", value)) == 3
+
+
+@pytest.mark.parametrize("value", [[1, {"a": 2}], 20240102, None, {}])
+def test_a_json_date_that_is_not_a_string_exits_3(value):
+    # str() of any JSON value used to become the day's date
+    assert run_case(FIT_BOOTSTRAP, ("top", "date", value)) == 3
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

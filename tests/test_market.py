@@ -305,6 +305,22 @@ class TestUnreadableFiles:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: malformed record: bond id must be a string"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("value", [[1, {"a": 2}], 20240102, None, True])
+    def test_a_json_date_that_is_not_a_string(self, tmp_path, value):
+        path = write_day(tmp_path, fmt="json")
+        data = json.loads(path.read_text())
+        data["date"] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: malformed record: date must be a string"):
+            load_snapshot(path)
+
+    def test_a_json_day_without_a_date_loads_with_an_empty_one(self, tmp_path):
+        path = write_day(tmp_path, fmt="json")
+        data = json.loads(path.read_text())
+        del data["date"]
+        path.write_text(json.dumps(data))
+        assert load_snapshot(path).date == ""
+
     def test_json_nested_past_the_recursion_limit(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text("[" * 100_000)

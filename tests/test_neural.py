@@ -9,8 +9,10 @@ import pytest
 from curvekit import (
     BenchmarkCurve,
     Bond,
+    Cashflow,
     DivergenceError,
     MarketSnapshot,
+    NoSolutionError,
     NnCurve,
     NnParams,
     ScenarioSpec,
@@ -128,6 +130,13 @@ class TestLossComponents:
         params = NnParams(w=(0.0,), b=(0.0,), v=(0.0,), c=0.03)
         bond = Bond(id="B", cashflows=(), face_value=100.0, maturity=2.0,
                     market_price=100.0 * math.exp(-0.06) + 2.0)
+        snap = MarketSnapshot(date="d", bonds=(bond,), benchmark=BENCH)
+        assert loss_error(params, snap) == pytest.approx(4.0, rel=1e-10)
+
+    def test_error_counts_prices_per_100_of_face(self):
+        params = NnParams(w=(0.0,), b=(0.0,), v=(0.0,), c=0.03)
+        bond = Bond(id="B", cashflows=(), face_value=1000.0, maturity=2.0,
+                    market_price=1000.0 * math.exp(-0.06) + 20.0)
         snap = MarketSnapshot(date="d", bonds=(bond,), benchmark=BENCH)
         assert loss_error(params, snap) == pytest.approx(4.0, rel=1e-10)
 
@@ -260,6 +269,15 @@ class TestTraining:
             train(snap, config)
         assert err.value.epoch >= 0
         assert 0 <= err.value.bond_index < len(snap.bonds)
+
+    def test_amounts_past_float_range_per_100_of_face_fail_as_a_fit(self):
+        # per 100 of face, a face of 1e-300 takes coupons of 1e10 past float's range: no numpy warning
+        snap = generate_scenario(ScenarioSpec(regime="falling", n_bonds=6, seed=3))
+        bonds = [b if j != 2 else Bond(b.id, tuple(Cashflow(cf.time, 1e10) for cf in b.cashflows), 1e-300,
+                                       b.maturity, b.market_price)
+                 for j, b in enumerate(snap.bonds)]
+        with pytest.raises(NoSolutionError, match="outside attainable range"):
+            train(MarketSnapshot(snap.date, bonds, snap.benchmark), TrainConfig(epochs=2))
 
     def test_divergence_survives_pickling(self):
         # a replicate fitted in a worker process sends its error back pickled
