@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import FitFailureError, InvalidDiscountError, SingularSystemError, ValidationError
 from .market import MarketSnapshot
-from .pricing import _TIME_TOL, YieldCurve, cashflow_matrix, cashflow_schedule, duration_price_weights
+from .pricing import YieldCurve, cashflow_matrix, duration_price_weights
 
 cho_factor = np.linalg.cholesky  # looked up per call, so perfbench can count factorisations
 
@@ -148,18 +148,18 @@ class KrLayout:
     It lays out every fit's system; a whole-day fit is the replicate that
     keeps every bond. A replicate holds some of the day's bonds, any of them
     possibly repriced (a copy with the same id, cashflows, face value and
-    maturity). When it keeps every bond, or every cashflow time it keeps is
-    exactly one of the day's anchors, its own layout's Gram matrix is the
-    principal submatrix of ``G`` on its bonds' rows, bit for bit: each entry
-    sums over the two bonds' own cashflows only (``_gram``). ``system`` takes
-    that submatrix, the bonds' cashflow totals and their entries of C, whose
-    alphas at the anchors only dropped bonds use are 0, so the replicate's
-    alphas and curve are its own fit's, bit for bit; its objective and price
-    error sum over the day's anchors and match its own to rounding. A
-    replicate that drops a bond of a day whose ``G`` is not finite gets its
-    own layout: the kept bonds' part of ``G`` may be finite where the day's
-    is not. The weights and prices are the replicate's own: the weights
-    depend on its bond count.
+    maturity). Its anchors are the day's anchors that its bonds pay at, and
+    its own layout's Gram matrix is the principal submatrix of ``G`` on its
+    bonds' rows, bit for bit: each entry sums over the two bonds' own
+    cashflows only (``_gram``). ``system`` takes that submatrix, the bonds'
+    cashflow totals and their entries of C, whose alphas at the anchors only
+    dropped bonds use are 0, so the replicate's alphas and curve are its own
+    fit's, bit for bit; its objective and price error sum over the day's
+    anchors and match its own to rounding. A replicate that drops a bond of
+    a day whose ``G`` is not finite gets its own layout: the kept bonds' part
+    of ``G`` may be finite where the day's is not, and a kernel entry that is
+    not finite at a dropped bond's anchor would spoil that sum. The weights
+    and prices are the replicate's own: the weights depend on its bond count.
     """
 
     def __init__(self, snapshot: MarketSnapshot, kernel_params: KernelParams):
@@ -176,16 +176,6 @@ class KrLayout:
         self.finite = bool(np.isfinite(self.G).all())
         self.rows = {b.id: j for j, b in enumerate(self.bonds)}
 
-    @cached_property
-    def cols(self) -> list[np.ndarray | None]:
-        """Each bond's anchor columns, None where a time was folded into another bond's anchor; built on first use."""
-        cols = []
-        for bond in self.bonds:
-            times, _ = cashflow_schedule(bond)
-            at = np.searchsorted(self.anchor_times, times - _TIME_TOL)  # as cashflow_matrix places them
-            cols.append(at if np.array_equal(self.anchor_times[at], times) else None)
-        return cols
-
     def system(self, snapshot: MarketSnapshot) -> tuple | None:
         """The fit's anchors (a mask of the day's), its bonds' entries of C (bond, anchor, amount),
         G's principal submatrix, cashflow totals, weights w and prices on ``snapshot``,
@@ -200,18 +190,14 @@ class KrLayout:
                     bond.cashflows, bond.face_value, bond.maturity):
                 return None
             rows.append(j)
-        whole = len(rows) == len(self.bonds)  # ids are unique, so it keeps every bond and every anchor
-        kept = np.full(len(self.anchor_times), whole)
-        if not whole:
-            if not self.finite:
-                return None
-            for j in rows:
-                if self.cols[j] is None:
-                    return None
-                kept[self.cols[j]] = True
+        if not self.finite and len(rows) < len(self.bonds):  # ids are unique, so it drops a bond
+            return None
         first, count = self.starts[rows], np.diff(self.starts)[rows]
         entries = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-        return (kept, (np.repeat(np.arange(len(rows)), count), self.at[entries], self.amounts[entries]),
+        at = self.at[entries]
+        kept = np.zeros(len(self.anchor_times), bool)
+        kept[at] = True
+        return (kept, (np.repeat(np.arange(len(rows)), count), at, self.amounts[entries]),
                 self.G[np.ix_(rows, rows)], self.totals[rows],
                 duration_price_weights(snapshot.bonds), np.array([b.market_price for b in snapshot.bonds]))
 
@@ -253,9 +239,9 @@ def fit_kr(
 ) -> KrModel:
     """Closed-form fit of the kernel-ridge discount curve.
 
-    Builds the cashflow matrix C over the anchor set (all cashflow dates,
-    deduplicated within 1e-9 years), the kernel matrix K at the anchors and
-    the weight matrix W = diag(w_j), then solves
+    Builds the cashflow matrix C over the anchor set (the distinct cashflow
+    dates), the kernel matrix K at the anchors and the weight matrix
+    W = diag(w_j), then solves
 
         (W^1/2 C K C' W^1/2 + lambda * I) u = W^1/2 (p - C 1),
         alpha = C' W^1/2 u,
@@ -307,8 +293,7 @@ def kr_objective(snapshot: MarketSnapshot, model: KrModel, alphas=None) -> float
     """Objective value of ``model`` (or of override weights ``alphas``) on ``snapshot``."""
     layout = KrLayout(snapshot, model.kernel_params)
     system = layout.system(snapshot)
-    anchors = layout.anchor_times
-    if len(anchors) != len(model.anchor_times) or np.max(np.abs(anchors - model._arrays[0])) > _TIME_TOL:
+    if not np.array_equal(layout.anchor_times, model._arrays[0]):
         raise ValidationError("model anchors do not match the snapshot's cashflow dates")
     al = np.array(model.alphas if alphas is None else alphas, dtype=float)
     return _kr_score(layout, system, model.lam, al)[1]

@@ -51,7 +51,7 @@ YTM_BRACKET = (-0.10, 1.00)
 _PRICE_TOL_REL = 1e-10  # an end of the bracket this close to the price is a root
 _NEWTON_LAST_REL = 1e-15  # a Newton step expected to leave at most this excess, per unit of price, is the last
 _MAX_STEPS = 200  # a safety net: halving steps and bisections end far sooner
-_TIME_TOL = 1e-9  # payment dates this close are one date: one cashflow anchor, one bootstrap knot
+_TIME_TOL = 1e-9  # maturities this close are one bootstrap knot
 
 
 @dataclass(frozen=True)
@@ -148,21 +148,16 @@ def cashflow_matrix(bonds) -> tuple[np.ndarray, np.ndarray]:
     """Dense cashflow layout over the union of all payment dates.
 
     Returns ``(anchor_times, C)`` where anchor_times is the sorted union of
-    every bond's payment dates (deduplicated within 1e-9 years, ``_TIME_TOL``) and
-    ``C[j, l]`` is the total amount bond j pays at anchor l, face value
-    included at maturity.
+    every bond's distinct payment dates, two bonds sharing an anchor only
+    where they pay at the same float, and ``C[j, l]`` is the total amount
+    bond j pays at anchor l, face value included at maturity.
     """
     schedules = [cashflow_schedule(b) for b in bonds]
-    all_times = np.concatenate([times for times, _ in schedules])
-    anchors: list[float] = []
-    for t in np.sort(all_times):
-        if not anchors or t - anchors[-1] > _TIME_TOL:
-            anchors.append(float(t))
-    anchor_times = np.array(anchors)
+    all_times = np.sort(np.concatenate([times for times, _ in schedules]))
+    anchor_times = all_times[np.diff(all_times, prepend=-np.inf) > 0]  # equal neighbours dropped
     C = np.zeros((len(bonds), len(anchor_times)))
     for j, (times, amounts) in enumerate(schedules):
-        idx = np.searchsorted(anchor_times, times - _TIME_TOL)
-        np.add.at(C[j], idx, amounts)  # final coupon and face share the maturity slot
+        np.add.at(C[j], np.searchsorted(anchor_times, times), amounts)  # final coupon and face share the maturity slot
     return anchor_times, C
 
 
@@ -292,14 +287,15 @@ def _solve_flat_rate(times: np.ndarray, amounts: np.ndarray, price: float, what:
     strictly decreasing in the rate, so the bracket test is exact.
     """
     pv = _pv_kernel(times, amounts)
-    rate = _solve(lambda r: pv(r) - price, pv.slope, price, _flat_guess(times, amounts, price))
-    if rate is None:
-        lo, hi = YTM_BRACKET
-        raise NoSolutionError(
-            f"{what}: price {price} outside attainable range "
-            f"[{pv(hi):.6f}, {pv(lo):.6f}] "
-            f"for rates in [{lo}, {hi}]"
-        )
+    with np.errstate(over="ignore"):  # amounts near float's maximum overflow to inf: no root, by the bracket rule
+        rate = _solve(lambda r: pv(r) - price, pv.slope, price, _flat_guess(times, amounts, price))
+        if rate is None:
+            lo, hi = YTM_BRACKET
+            raise NoSolutionError(
+                f"{what}: price {price} outside attainable range "
+                f"[{pv(hi):.6f}, {pv(lo):.6f}] "
+                f"for rates in [{lo}, {hi}]"
+            )
     return rate
 
 
@@ -436,9 +432,10 @@ class BootstrapBase:
         self.diagnostics: list[str] = []
         self.marks: list[tuple[int, int]] = [(0, 0)]
         n = 0
-        for bond in self.bonds:
-            n = _place_knot(bond, self.ts, self.ys, n, self.diagnostics)
-            self.marks.append((n, len(self.diagnostics)))
+        with np.errstate(over="ignore"):  # as in _solve_flat_rate
+            for bond in self.bonds:
+                n = _place_knot(bond, self.ts, self.ys, n, self.diagnostics)
+                self.marks.append((n, len(self.diagnostics)))
 
 
 def bootstrap(snapshot: MarketSnapshot, base: BootstrapBase | None = None) -> BootstrapCurve:
@@ -474,8 +471,9 @@ def bootstrap(snapshot: MarketSnapshot, base: BootstrapBase | None = None) -> Bo
     n, count = base.marks[start]
     ts[:n], ys[:n] = base.ts[:n], base.ys[:n]
     diagnostics = base.diagnostics[:count]
-    for bond in bonds[start:]:
-        n = _place_knot(bond, ts, ys, n, diagnostics)
+    with np.errstate(over="ignore"):  # as in _solve_flat_rate
+        for bond in bonds[start:]:
+            n = _place_knot(bond, ts, ys, n, diagnostics)
 
     if not n:
         raise NoSolutionError("bootstrap failed for every bond: " + "; ".join(diagnostics))

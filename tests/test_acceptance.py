@@ -167,15 +167,14 @@ def _kr_quadratic(snapshot, kp):
     anchors = []
     for bond in bonds:
         for t in [cf.time for cf in bond.cashflows] + [bond.maturity]:
-            if not any(abs(t - x) <= 1e-9 for x in anchors):
+            if t not in anchors:
                 anchors.append(t)
     anchors = sorted(anchors)
     C = np.zeros((len(bonds), len(anchors)))
     for j, bond in enumerate(bonds):
         flows = [(cf.time, cf.amount) for cf in bond.cashflows] + [(bond.maturity, bond.face_value)]
         for t, amt in flows:
-            l = min(range(len(anchors)), key=lambda i: abs(anchors[i] - t))
-            C[j, l] += amt
+            C[j, anchors.index(t)] += amt
     K = kernel_matrix(np.array(anchors), kp)
     prices = np.array([b.market_price for b in bonds])
     m = len(bonds)

@@ -374,6 +374,8 @@ class TestExperiments:
         ["perturb", "--bumps", ""],
         ["perturb", "--bumps", "0.03,0.030"],
         ["perturb", "--estimators", "kr,kr"],
+        ["perturb", "--estimators", ""],
+        ["loo", "--estimators", ","],
         ["drop", "--counts", ","],
         ["drop", "--counts", "1,1"],
         ["hyperscan", "--lr", ""],

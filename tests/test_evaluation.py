@@ -34,6 +34,7 @@ from curvekit import (
     write_report,
     yield_to_maturity,
 )
+from curvekit.cli import ESTIMATOR_NAMES, build_estimators, build_parser
 from curvekit.evaluation import BUCKET_LABELS, curve_yields, refit
 from curvekit.pricing import YieldCurve
 
@@ -43,6 +44,10 @@ BOOTSTRAP = Estimator("bootstrap", lambda s: bootstrap(s))
 KR = Estimator("kr", lambda s: KrCurve(fit_kr(s, 1e-2)))
 # argument checks must come before the first fit
 NO_FIT = Estimator("no-fit", lambda s: pytest.fail("a fit ran before the arguments were checked"))
+# every estimator as the command line builds it, with few NSS starts and NN epochs
+CLI_ARGS = build_parser().parse_args(["fit", "day.json", "--estimator", "nss", "--nss-starts", "2", "--nn-epochs", "5"])
+CLI_ESTIMATORS = [est for est, _ in build_estimators(CLI_ARGS, ESTIMATOR_NAMES)]
+every_estimator = pytest.mark.parametrize("estimator", CLI_ESTIMATORS, ids=lambda est: est.name)
 
 
 class InterpCurve(YieldCurve):
@@ -237,10 +242,10 @@ class TestBuckets:
 
 
 class TestPerturb:
-    def test_zero_bump_gives_zero_metrics(self, zc_snapshot):
-        rows = perturb_price_experiment(zc_snapshot, KR, zc_snapshot.bonds[0].id, [0.0])
-        assert rows[0].rmse_curve == 0.0
-        assert rows[0].mad == 0.0
+    @every_estimator
+    def test_zero_bump_gives_zero_metrics(self, zc_snapshot, estimator):
+        rows = perturb_price_experiment(zc_snapshot, estimator, zc_snapshot.bonds[0].id, [0.0])
+        assert (rows[0].rmse_curve, rows[0].mad, rows[0].error) == (0.0, 0.0, None)
 
     def test_three_bumps_three_rows(self, zc_snapshot):
         bond_id = zc_snapshot.bonds[-1].id
@@ -289,10 +294,10 @@ class TestDrop:
             expected = np.mean([rep.rmse_curve for rep in row.replications])
             assert row.rmse_curve == pytest.approx(expected, rel=1e-12)
 
-    def test_zero_count_gives_zero(self, zc_snapshot):
-        rows = drop_bonds_experiment(zc_snapshot, KR, [0], n_mc=2, seed=0)
-        assert rows[0].rmse_curve == 0.0
-        assert rows[0].mad == 0.0
+    @every_estimator
+    def test_zero_count_gives_zero(self, zc_snapshot, estimator):
+        rows = drop_bonds_experiment(zc_snapshot, estimator, [0], n_mc=2, seed=0)
+        assert (rows[0].rmse_curve, rows[0].mad, rows[0].n_failed) == (0.0, 0.0, 0)
 
     def test_same_seed_same_drop_sets_across_estimators(self, zc_snapshot):
         a = drop_bonds_experiment(zc_snapshot, KR, [2], n_mc=5, seed=7)
@@ -334,10 +339,11 @@ class TestStability:
             for i in range(n_days)
         ]
 
-    def test_identical_days_hit_rate_one(self, zc_snapshot):
-        result = stability_experiment([zc_snapshot] * 3, BOOTSTRAP)
-        assert all(d["Full"] == 0.0 for d in result.day_rmse)
-        assert result.hit_rate["Full"] == 1.0
+    @every_estimator
+    def test_identical_days_hit_rate_one(self, zc_snapshot, estimator):
+        result = stability_experiment([zc_snapshot] * 3, estimator)
+        assert [[d[bucket] for bucket in BUCKET_LABELS] for d in result.day_rmse] == [[0.0] * 4] * 2
+        assert result.hit_rate == {bucket: 1.0 for bucket in BUCKET_LABELS}
 
     def test_zero_threshold_hit_rate_zero(self, zc_snapshot):
         result = stability_experiment([zc_snapshot] * 3, BOOTSTRAP, threshold=0.0)

@@ -219,6 +219,8 @@ HYPERSCAN = COMMANDS["hyperscan"][0]
 @example(case=(FIT_BOOTSTRAP, ("bond", 0, "market_price", 10**400)))  # an int past float's range
 @example(case=(FIT_BOOTSTRAP, ("top", "date", [1, {"a": 2}])))  # loaded as the date "[1, {'a': 2}]"
 @example(case=(FIT_BOOTSTRAP, ("csv-cell", "day.csv", 2, 1, "9" * 200_000)))  # past the csv field limit
+@example(case=(FIT_BOOTSTRAP, ("cashflow", 11, "amount", 1e308)))  # the knot solve's slope overflows
+@example(case=(FIT_KR, ("cashflow", 20, "amount", 1e308)))  # the flat-yield solve overflows
 def test_main_returns_an_exit_code_and_never_raises(case):
     argv, mutation = case
     assert run_case(argv, mutation) in EXIT_CODES

@@ -56,24 +56,23 @@ def ref_cashflow_schedule(bond: Bond) -> tuple[np.ndarray, np.ndarray]:
     return times, amounts
 
 
-def ref_cashflow_matrix(bonds, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def ref_cashflow_matrix(bonds) -> tuple[np.ndarray, np.ndarray]:
     """Dense cashflow layout over the union of all payment dates.
 
     Returns ``(anchor_times, C)`` where anchor_times is the sorted union of
-    every bond's payment dates (deduplicated within ``tol`` years) and
-    ``C[j, l]`` is the total amount bond j pays at anchor l, face value
-    included at maturity.
+    every bond's distinct payment dates and ``C[j, l]`` is the total amount
+    bond j pays at anchor l, face value included at maturity.
     """
     all_times = np.concatenate([ref_cashflow_schedule(b)[0] for b in bonds])
     anchors: list[float] = []
     for t in np.sort(all_times):
-        if not anchors or t - anchors[-1] > tol:
+        if not anchors or t > anchors[-1]:
             anchors.append(float(t))
     anchor_times = np.array(anchors)
     C = np.zeros((len(bonds), len(anchor_times)))
     for j, bond in enumerate(bonds):
         times, amounts = ref_cashflow_schedule(bond)
-        idx = np.searchsorted(anchor_times, times - tol)
+        idx = np.searchsorted(anchor_times, times)
         np.add.at(C[j], idx, amounts)  # final coupon and face share the maturity slot
     return anchor_times, C
 

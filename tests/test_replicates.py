@@ -214,35 +214,18 @@ def test_every_bond_skipped_fails_each_replicate_alone():
     assert results == [outcome(lambda r=r: ESTIMATORS["bootstrap"].fit(r)) for r in reps]
 
 
-def test_kr_falls_back_when_a_kept_time_was_folded_into_a_dropped_anchor(monkeypatch):
+def test_payment_dates_apart_by_less_than_1e_9_are_two_anchors(monkeypatch):
+    # every payment date of a replicate is one of its day's anchors, so every fit is sliced from the day's layout
     day = generate_scenario(ScenarioSpec(**DAYS[0]))
-    owner, folded = zero_coupon("Z1", 3.3337), zero_coupon("Z2", 3.3337 + 5e-10)
-    day = with_bond(with_bond(day, owner), folded)
-    layout = kernelridge.KrLayout(day, kernelridge.KernelParams())
-    assert 3.3337 in layout.anchor_times.tolist() and 3.3337 + 5e-10 not in layout.anchor_times.tolist()
-    reps = [dropped(day, {"Z1"}), dropped(day, {"B003"}), dropped(day, {"Z2"}), dropped(day, {"Z1", "Z2"})]
+    day = with_bond(with_bond(day, zero_coupon("Z1", 3.3337)), zero_coupon("Z2", 3.3337 + 5e-10))
+    anchors = kernelridge.KrLayout(day, kernelridge.KernelParams()).anchor_times.tolist()
+    assert 3.3337 in anchors and 3.3337 + 5e-10 in anchors
+    reps = [day, dropped(day, {"Z1"}), dropped(day, {"Z2"}), dropped(day, {"Z1", "Z2"}), dropped(day, {"B003"})]
     layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
     grams = counting(monkeypatch, kernelridge, "_gram")
     assert_own_fits(ESTIMATORS["kr"], day, reps)
-    # the day's layout, the two fallbacks holding Z2, then every replicate alone
-    assert len(layouts) == len(grams) == 1 + 2 + len(reps)
-    model = ESTIMATORS["kr"].fit(reps[0]).model
-    assert 3.3337 + 5e-10 in model.anchor_times
+    assert len(layouts) == len(grams) == 1 + len(reps)  # the day's layout, then every fit alone
     assert_own_fits(ESTIMATORS["bootstrap"], day, reps)
-
-
-def test_a_whole_day_fit_keeps_an_anchor_that_was_folded(monkeypatch):
-    # a whole day is its own replicate: its system is its own layout's, folded anchor and all
-    day = generate_scenario(ScenarioSpec(**DAYS[0]))
-    day = with_bond(with_bond(day, zero_coupon("Z1", 3.3337)), zero_coupon("Z2", 3.3337 + 5e-10))
-    layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
-    grams = counting(monkeypatch, kernelridge, "_gram")
-    alone = outcome(lambda: kernelridge.KrCurve(kernelridge.fit_kr(day)))
-    assert len(layouts) == len(grams) == 1
-    layout = kernelridge.KrLayout(day, kernelridge.KernelParams())
-    exact, numbers = outcome(lambda: kernelridge.KrCurve(kernelridge.fit_kr(day, layout=layout)))
-    assert exact == alone[0] and numbers.tobytes() == alone[1].tobytes()  # the same arrays: bit for bit
-    assert len(layouts) == len(grams) == 2  # the explicit layout, and no other
 
 
 def test_a_kernel_that_overflows_only_at_the_longest_bond(monkeypatch):
@@ -315,6 +298,21 @@ def test_stability_days_of_another_universe(monkeypatch, name):
     grams = counting(monkeypatch, kernelridge, "_gram")
     stability_experiment(days, ESTIMATORS[name])
     # the first day's, and the new bond's day's own; the day with a bond fewer is sliced, as a dropped replicate is
+    assert name == "bootstrap" or len(layouts) == len(grams) == 2
+    assert_stability_own_fits(ESTIMATORS[name], days)
+
+
+@pytest.mark.parametrize("name", ["bootstrap", "kr"])
+def test_stability_day_whose_bond_keeps_its_id_but_not_its_coupons(monkeypatch, name):
+    days = days_of("falling", 15)
+    bond = days[2].bonds[4]
+    assert bond.cashflows
+    other = replace(bond, cashflows=tuple(replace(cf, amount=cf.amount * 1.5) for cf in bond.cashflows))
+    days[2] = replace(days[2], bonds=(other if b is bond else b for b in days[2].bonds))
+    layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
+    grams = counting(monkeypatch, kernelridge, "_gram")
+    stability_experiment(days, ESTIMATORS[name])
+    # the first day's, and that day's own: the same id with other cashflows is another bond
     assert name == "bootstrap" or len(layouts) == len(grams) == 2
     assert_stability_own_fits(ESTIMATORS[name], days)
 
