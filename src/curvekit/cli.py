@@ -286,10 +286,10 @@ def _move_metrics(rows, label: str, tags) -> tuple[dict, str]:
     """Curve RMSE and MAD of perturb or drop rows: report metrics and summary cells."""
     metrics, cells = {}, []
     for row, tag in zip(rows, tags):
-        metrics[f"rmse_curve[{label}={tag}]"] = row.rmse_curve
-        metrics[f"mad[{label}={tag}]"] = row.mad
-        if row.rmse_curve is not None:
-            cells.append(f"{label} {tag}: rmse {row.rmse_curve * 1e4:.2f} bp / mad {row.mad * 1e4:.2f} bp")
+        metrics[f"rmse_curve[{label}={tag}]"] = row["rmse_curve"]
+        metrics[f"mad[{label}={tag}]"] = row["mad"]
+        if row["rmse_curve"] is not None:
+            cells.append(f"{label} {tag}: rmse {row['rmse_curve'] * 1e4:.2f} bp / mad {row['mad'] * 1e4:.2f} bp")
     return metrics, ", ".join(cells)
 
 
@@ -302,55 +302,49 @@ def _perturb(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, i
     snapshot, = snapshots
     bond_id = args.bond or sort_bonds(snapshot.bonds)[-1].id
     rows = perturb_price_experiment(snapshot, estimator, bond_id, args.bumps)
-    metrics, shown = _move_metrics(rows, "bump", [f"{row.bump:g}" for row in rows])
+    metrics, shown = _move_metrics(rows, "bump", [f"{row['bump']:g}" for row in rows])
     report = EvaluationReport(estimator.name, "perturb", metrics, None,
-                              _provenance(args, {"bond": bond_id, "bumps": list(args.bumps)}),
-                              [row.__dict__ for row in rows])
-    return report, sum(1 for row in rows if row.error), f"perturb {estimator.name} (bond {bond_id}): {shown}"
+                              _provenance(args, {"bond": bond_id, "bumps": list(args.bumps)}), rows)
+    return report, sum(1 for row in rows if row["error"]), f"perturb {estimator.name} (bond {bond_id}): {shown}"
 
 
 def _drop(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
     snapshot, = snapshots
     rows = drop_bonds_experiment(snapshot, estimator, args.counts, args.mc, seed=args.seed)
-    metrics, shown = _move_metrics(rows, "drop", [row.count for row in rows])
-    details = [
-        {"count": row.count, "n_failed": row.n_failed, "replications": [rep.__dict__ for rep in row.replications]}
-        for row in rows
-    ]
+    metrics, shown = _move_metrics(rows, "drop", [row["count"] for row in rows])
+    details = [{key: row[key] for key in ("count", "n_failed", "replications")} for row in rows]
     report = EvaluationReport(estimator.name, "drop", metrics, None,
                               _provenance(args, {"counts": list(args.counts), "mc": args.mc}), details)
-    return report, sum(row.n_failed for row in rows), f"drop {estimator.name} ({args.mc} MC): {shown}"
+    return report, sum(row["n_failed"] for row in rows), f"drop {estimator.name} ({args.mc} MC): {shown}"
 
 
 def _stability(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
     result = stability_experiment(snapshots, estimator, threshold=args.threshold)
-    per_bucket = {}
-    for bucket, hit_rate in result.hit_rate.items():
-        day_rmse = [d[bucket] for d in result.day_rmse if d[bucket] is not None]
-        per_bucket[bucket] = {"hit_rate": hit_rate, "rmse_mean": float(np.mean(day_rmse)) if day_rmse else None}
-    details = [
-        {"day_rmse": list(result.day_rmse)},
-        {"fixed_tenor_series": list(result.fixed_tenor_series)},
-        {"skipped": list(result.skipped)},
-    ]
-    report = EvaluationReport(estimator.name, "stability", {"hit_rate": result.hit_rate["Full"]}, per_bucket,
+    day_rmse = result["day_rmse"]
+    per_bucket = {
+        bucket: {"hit_rate": hit_rate, "rmse_mean": float(np.mean([d[bucket] for d in day_rmse])) if day_rmse else None}
+        for bucket, hit_rate in result["hit_rate"].items()
+    }
+    details = [{key: list(result[key])} for key in ("day_rmse", "fixed_tenor_series", "skipped")]
+    report = EvaluationReport(estimator.name, "stability", {"hit_rate": result["hit_rate"]["Full"]}, per_bucket,
                               _provenance(args, {"threshold": args.threshold, "days": len(snapshots)}), details)
     summary = (f"stability {estimator.name} over {len(snapshots)} days, "
-               f"hit rate @ {args.threshold * 1e4:g} bp: {_bucket_cells(result.hit_rate, '.0%')}")
-    return report, len(result.skipped), summary
+               f"hit rate @ {args.threshold * 1e4:g} bp: {_bucket_cells(result['hit_rate'], '.0%')}")
+    return report, len(result["skipped"]), summary
 
 
 def _loo(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
     snapshot, = snapshots
     result = loo_experiment(snapshot, estimator, args.mc, bucket_filter=args.bucket, seed=args.seed)
     per_bucket = {
-        bucket: {"rmse_ytm_loo": rmse, "count": result.counts[bucket]}
-        for bucket, rmse in result.per_bucket.items()
+        bucket: {"rmse_ytm_loo": rmse, "count": result["counts"][bucket]}
+        for bucket, rmse in result["per_bucket"].items()
     }
-    report = EvaluationReport(estimator.name, "loo", {"rmse_ytm_loo": result.per_bucket["Full"]}, per_bucket,
+    report = EvaluationReport(estimator.name, "loo", {"rmse_ytm_loo": result["per_bucket"]["Full"]}, per_bucket,
                               _provenance(args, {"mc": args.mc, "bucket_filter": args.bucket}),
-                              [rep.__dict__ for rep in result.replications])
-    return report, result.n_failed, f"loo {estimator.name} ({args.mc} MC): {_bucket_cells(result.per_bucket, '.6f')}"
+                              list(result["replications"]))
+    return report, result["n_failed"], (f"loo {estimator.name} ({args.mc} MC): "
+                                        f"{_bucket_cells(result['per_bucket'], '.6f')}")
 
 
 def _scan_grid(args) -> list[tuple[tuple, Estimator]]:

@@ -4,6 +4,8 @@ Covers yield-space accuracy (RMSE against per-bond flat yields), curve-space
 distances on a fixed tenor grid (RMSE and maximum absolute difference),
 single-bond price perturbation, random bond-drop Monte Carlo, day-over-day
 stability with hit rates, and leave-one-out accuracy by maturity bucket.
+Each protocol returns the plain records (dicts, and tuples of dicts) that
+its report stores; its docstring names their keys.
 
 A metric evaluates a curve with one ``YieldCurve.yields`` call over its grid
 or bond maturities. ``refit`` is the one rule for what a fit is: the estimator
@@ -306,29 +308,22 @@ def _check_n_mc(n_mc: int) -> None:
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
 
 
-def _curve_moves(snapshot: MarketSnapshot, estimator: Estimator, replicates: list[MarketSnapshot]) -> Iterator[tuple]:
-    """``(rmse, mad, error)`` of each replicate's curve against the day's own, in order, over the grid.
+def _curve_moves(snapshot: MarketSnapshot, estimator: Estimator, replicates: list[MarketSnapshot]) -> Iterator[dict]:
+    """``{"rmse_curve", "mad", "error"}`` of each replicate's curve against the day's own, in order, over the grid.
 
     The day is fitted first, as replicate 0, before this returns. A failure
     to fit or to evaluate it ends the experiment, so it is raised as a
     ``FitFailureError`` even when the estimator rejected the snapshot as
-    invalid input; a failed replicate gives ``(None, None, str(exc))``.
+    invalid input; a failed replicate has distances None and error ``str(exc)``.
     """
     results = refit_many(estimator, snapshot, [snapshot, *replicates],
                          lambda _, curve: curve_yields(curve, DEFAULT_TENORS), stop_on_failed_first=True)
     base, exc = next(results)
     if exc is not None:
         raise FitFailureError(str(exc)) from exc
-    return ((None, None, str(err)) if err is not None else (_rmse(base, ys), _mad(base, ys), None)
+    return ({"rmse_curve": None, "mad": None, "error": str(err)} if err is not None
+            else {"rmse_curve": _rmse(base, ys), "mad": _mad(base, ys), "error": None}
             for ys, err in results)
-
-
-@dataclass(frozen=True)
-class PerturbRow:
-    bump: float
-    rmse_curve: float | None
-    mad: float | None
-    error: str | None = None
 
 
 def perturb_price_experiment(
@@ -336,13 +331,14 @@ def perturb_price_experiment(
     estimator: Estimator,
     bond_id: str,
     bumps,
-) -> list[PerturbRow]:
+) -> list[dict]:
     """Refit after bumping one bond's price and measure the curve movement.
 
     For each bump fraction the named bond's price is multiplied by (1 + bump)
-    and the estimator refit; rows report RMSE and MAD against the unperturbed
-    fit. Fit failures are recorded in the row and the experiment continues; a
-    failed unperturbed fit raises ``FitFailureError``.
+    and the estimator refit; rows ``{"bump", "rmse_curve", "mad", "error"}``
+    report RMSE and MAD against the unperturbed fit. Fit failures are recorded
+    in the row and the experiment continues; a failed unperturbed fit raises
+    ``FitFailureError``.
     """
     price = snapshot.bond(bond_id).market_price  # raises KeyError for unknown ids
     bumps = list(bumps)
@@ -358,24 +354,7 @@ def perturb_price_experiment(
         ))
         for bump in bumps
     ]
-    return [PerturbRow(float(bump), *move) for bump, move in zip(bumps, _curve_moves(snapshot, estimator, bumped))]
-
-
-@dataclass(frozen=True)
-class DropReplication:
-    dropped_ids: tuple[str, ...]
-    rmse_curve: float | None
-    mad: float | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class DropRow:
-    count: int
-    rmse_curve: float | None
-    mad: float | None
-    n_failed: int
-    replications: tuple[DropReplication, ...]
+    return [{"bump": float(bump), **move} for bump, move in zip(bumps, _curve_moves(snapshot, estimator, bumped))]
 
 
 def drop_bonds_experiment(
@@ -384,13 +363,15 @@ def drop_bonds_experiment(
     drop_counts,
     n_mc: int,
     seed: int = 0,
-) -> list[DropRow]:
+) -> list[dict]:
     """Random bond removal, averaged over Monte Carlo replications.
 
     The drop sets depend only on (seed, count, replication), so two estimators
-    evaluated with the same seed see identical removals. Failed replications
-    are excluded from the averages and counted; a failed fit of the full
-    snapshot raises ``FitFailureError``.
+    evaluated with the same seed see identical removals. Each row is
+    ``{"count", "rmse_curve", "mad", "n_failed", "replications"}``, each of
+    its replications ``{"dropped_ids", "rmse_curve", "mad", "error"}``.
+    Failed replications are excluded from the averages and counted; a failed
+    fit of the full snapshot raises ``FitFailureError``.
     """
     n = len(snapshot.bonds)
     if any(c < 0 for c in drop_counts):
@@ -414,41 +395,33 @@ def drop_bonds_experiment(
     moves = _curve_moves(snapshot, estimator, reduced)
     rows = []
     for count, sets in zip(drop_counts, drop_sets):
-        reps = [DropReplication(dropped, *next(moves)) for dropped in sets]
-        ok = [r for r in reps if r.error is None]
-        rows.append(
-            DropRow(
-                count=int(count),
-                rmse_curve=float(np.mean([r.rmse_curve for r in ok])) if ok else None,
-                mad=float(np.mean([r.mad for r in ok])) if ok else None,
-                n_failed=len(reps) - len(ok),
-                replications=tuple(reps),
-            )
-        )
+        reps = [{"dropped_ids": dropped, **next(moves)} for dropped in sets]
+        ok = [r for r in reps if r["error"] is None]
+        rows.append({
+            "count": int(count),
+            "rmse_curve": float(np.mean([r["rmse_curve"] for r in ok])) if ok else None,
+            "mad": float(np.mean([r["mad"] for r in ok])) if ok else None,
+            "n_failed": len(reps) - len(ok),
+            "replications": tuple(reps),
+        })
     return rows
-
-
-@dataclass(frozen=True)
-class StabilityResult:
-    day_rmse: tuple[dict, ...]          # one dict per consecutive-day pair, bucket -> rmse
-    hit_rate: dict                       # bucket -> fraction of pairs with rmse < threshold
-    fixed_tenor_series: tuple[dict, ...]  # per fitted day: date + curve/benchmark at 6M/2Y/10Y
-    curves: tuple                        # fitted curve per day (None where the fit failed)
-    skipped: tuple[str, ...]
 
 
 def stability_experiment(
     snapshots,
     estimator: Estimator,
     threshold: float = DEFAULT_HIT_RATE_THRESHOLD,
-) -> StabilityResult:
+) -> dict:
     """Day-over-day curve stability across an ordered snapshot sequence.
 
     Each day is fit as a replicate of the first (``refit_many``), reusing
-    its work where they share bonds; consecutive fitted days are compared with
-    bucket-restricted curve RMSE, and the hit rate per bucket is the fraction
-    of pairs strictly below ``threshold``. Also records the fitted yield and
-    benchmark rate at 6M, 2Y and 10Y for each day.
+    its work where they share bonds. The result is ``{"day_rmse",
+    "hit_rate", "fixed_tenor_series", "curves", "skipped"}``: per pair of
+    consecutive fitted days, the later date and the curve RMSE in each
+    bucket; per bucket, the fraction of pairs strictly below ``threshold``
+    (None without a pair); per fitted day, its date and the fitted yield and
+    benchmark rate at 6M, 2Y and 10Y; each day's curve (None where its fit
+    failed); and one line per failed day.
     """
     snapshots = list(snapshots)
     if len(snapshots) < 2:
@@ -483,36 +456,20 @@ def stability_experiment(
             continue
         entry = {"date": snapshots[cur].date}
         for bucket, mask in masks.items():
-            entry[bucket] = _rmse(ya[mask], yb[mask]) if mask.any() else None
+            entry[bucket] = _rmse(ya[mask], yb[mask])  # every bucket holds grid tenors
         day_rmse.append(entry)
 
-    hit_rate = {}
-    for bucket in BUCKET_LABELS:
-        vals = [d[bucket] for d in day_rmse if d[bucket] is not None]
-        hit_rate[bucket] = float(np.mean([v < threshold for v in vals])) if vals else None
-    return StabilityResult(
-        day_rmse=tuple(day_rmse),
-        hit_rate=hit_rate,
-        fixed_tenor_series=tuple(series),
-        curves=tuple(curves),
-        skipped=tuple(skipped),
-    )
-
-
-@dataclass(frozen=True)
-class LooReplication:
-    bond_id: str
-    bucket: str
-    sq_err: float | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class LooResult:
-    per_bucket: dict                     # bucket -> LOO yield RMSE (None if no draws)
-    counts: dict                         # bucket -> number of successful replications
-    replications: tuple[LooReplication, ...]
-    n_failed: int
+    hit_rate = {
+        bucket: float(np.mean([d[bucket] < threshold for d in day_rmse])) if day_rmse else None
+        for bucket in BUCKET_LABELS
+    }
+    return {
+        "day_rmse": tuple(day_rmse),
+        "hit_rate": hit_rate,
+        "fixed_tenor_series": tuple(series),
+        "curves": tuple(curves),
+        "skipped": tuple(skipped),
+    }
 
 
 def loo_experiment(
@@ -521,13 +478,15 @@ def loo_experiment(
     n_mc: int,
     bucket_filter: str | None = None,
     seed: int = 0,
-) -> LooResult:
+) -> dict:
     """Leave-one-out yield accuracy, averaged over random held-out bonds.
 
     Each replication uniformly picks a held-out bond (from ``bucket_filter``
     when given), fits on the rest, and records the squared gap between the
     fitted yield at the held-out maturity and that bond's flat yield. Results
-    aggregate per maturity bucket of the held-out bond plus a Full column.
+    aggregate per maturity bucket of the held-out bond plus a Full column:
+    ``{"per_bucket", "counts", "replications", "n_failed"}``, each
+    replication ``{"bond_id", "bucket", "sq_err", "error"}``.
     """
     _check_n_mc(n_mc)
     if bucket_filter is not None and bucket_filter not in BUCKET_LABELS[1:]:
@@ -548,27 +507,27 @@ def loo_experiment(
         # the held-out bond's flat yield is part of the score, so a bond without one fails the replicate
         return curve.yields(np.array([held[i].maturity]))[0] - yield_to_maturity(held[i])
 
-    reps = []
-    for h, (err, exc) in zip(held, refit_many(estimator, snapshot, reduced, score)):
-        bucket = bucket_of(h.maturity)
-        reps.append(LooReplication(h.id, bucket, None, str(exc)) if exc is not None
-                    else LooReplication(h.id, bucket, float(err**2)))
+    reps = [
+        {"bond_id": h.id, "bucket": bucket_of(h.maturity),
+         "sq_err": None if exc is not None else float(err**2), "error": None if exc is None else str(exc)}
+        for h, (err, exc) in zip(held, refit_many(estimator, snapshot, reduced, score))
+    ]
 
     per_bucket = {}
     counts = {}
     for bucket in BUCKET_LABELS:
         sq = [
-            r.sq_err for r in reps
-            if r.sq_err is not None and (bucket == "Full" or r.bucket == bucket)
+            r["sq_err"] for r in reps
+            if r["sq_err"] is not None and (bucket == "Full" or r["bucket"] == bucket)
         ]
         counts[bucket] = len(sq)
         per_bucket[bucket] = float(np.sqrt(np.mean(sq))) if sq else None
-    return LooResult(
-        per_bucket=per_bucket,
-        counts=counts,
-        replications=tuple(reps),
-        n_failed=sum(1 for r in reps if r.error is not None),
-    )
+    return {
+        "per_bucket": per_bucket,
+        "counts": counts,
+        "replications": tuple(reps),
+        "n_failed": sum(1 for r in reps if r["error"] is not None),
+    }
 
 
 # ---------------------------------------------------------------------------

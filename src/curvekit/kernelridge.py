@@ -154,12 +154,12 @@ class KrLayout:
     cashflows only (``_gram``). ``system`` takes that submatrix, the bonds'
     cashflow totals and their entries of C, whose alphas at the anchors only
     dropped bonds use are 0, so the replicate's alphas and curve are its own
-    fit's, bit for bit; its objective and price error sum over the day's
-    anchors and match its own to rounding. A replicate that drops a bond of
-    a day whose ``G`` is not finite gets its own layout: the kept bonds' part
-    of ``G`` may be finite where the day's is not, and a kernel entry that is
-    not finite at a dropped bond's anchor would spoil that sum. The weights
-    and prices are the replicate's own: the weights depend on its bond count.
+    fit's, bit for bit; its objective and price error read K alphas at its
+    own anchors only and match its own to rounding. So a replicate of a day
+    whose ``G`` is not finite is sliced as well: the kept bonds' part of
+    ``G`` may be finite where the day's is not, and a kernel entry that is
+    not finite at a dropped bond's anchor is never read. The weights and
+    prices are the replicate's own: the weights depend on its bond count.
     """
 
     def __init__(self, snapshot: MarketSnapshot, kernel_params: KernelParams):
@@ -173,13 +173,12 @@ class KrLayout:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing K is fit_kr's error to report
             self.K = kernel_matrix(self.anchor_times, kernel_params)
             self.G, self.totals = _gram(self.at, self.amounts, self.starts[:-1], self.K)
-        self.finite = bool(np.isfinite(self.G).all())
         self.rows = {b.id: j for j, b in enumerate(self.bonds)}
 
     def system(self, snapshot: MarketSnapshot) -> tuple | None:
         """The fit's anchors (a mask of the day's), its bonds' entries of C (bond, anchor, amount),
         G's principal submatrix, cashflow totals, weights w and prices on ``snapshot``,
-        or None when it needs its own."""
+        or None when ``snapshot`` is not a replicate of the day."""
         rows = []
         for bond in snapshot.bonds:
             j = self.rows.get(bond.id)
@@ -190,8 +189,6 @@ class KrLayout:
                     bond.cashflows, bond.face_value, bond.maturity):
                 return None
             rows.append(j)
-        if not self.finite and len(rows) < len(self.bonds):  # ids are unique, so it drops a bond
-            return None
         first, count = self.starts[rows], np.diff(self.starts)[rows]
         entries = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
         at = self.at[entries]
@@ -223,12 +220,13 @@ def _gram(at: np.ndarray, amounts: np.ndarray, starts: np.ndarray, K: np.ndarray
 
 def _kr_score(layout: KrLayout, system: tuple, lam: float, alphas: np.ndarray) -> tuple[float, float]:
     """Weighted squared price error of ``alphas``, one per anchor of the layout, and the objective:
-    that plus lam * alphas' K alphas."""
-    _, (bond, at, amounts), _, _, w, prices = system
-    K_alphas = layout.K @ alphas
+    that plus lam * alphas' K alphas, both read at the fit's anchors only."""
+    kept, (bond, at, amounts), _, _, w, prices = system
+    with np.errstate(invalid="ignore"):  # K may overflow in the rows of anchors only dropped bonds use
+        K_alphas = layout.K @ alphas
     fitted = np.bincount(bond, amounts * (1.0 + K_alphas[at]), len(prices))  # C (1 + K alphas)
     price_error = float(np.sum(w * (prices - fitted) ** 2))
-    return price_error, price_error + lam * float(alphas @ K_alphas)
+    return price_error, price_error + lam * float(alphas[kept] @ K_alphas[kept])
 
 
 def fit_kr(
@@ -251,9 +249,10 @@ def fit_kr(
 
     With ``layout``, the layout of a day that ``snapshot`` is a replicate of,
     C's entries and G's principal submatrix are the day's
-    (``KrLayout.system``) where they can be: the anchors and alphas are the
-    same, bit for bit, and the objective and price error the same to
-    rounding.
+    (``KrLayout.system``), also where the day's kernel overflows at anchors
+    that only dropped bonds use: the anchors and alphas are the same, bit for
+    bit, and the objective and price error the same to rounding. Any other
+    snapshot gets its own layout.
     """
     if not (0 < lam < np.inf):
         raise ValidationError(f"lambda must be finite and > 0, got {lam}")

@@ -10,7 +10,6 @@ import contextlib
 import json
 import math
 import time
-from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,7 +20,6 @@ from curvekit import (
     FlatCurve,
     KrCurve,
     MarketSnapshot,
-    NnCurve,
     NssCurve,
     NssFitConfig,
     ScenarioSpec,
@@ -50,7 +48,8 @@ from curvekit import (
     yield_to_maturity,
 )
 from curvekit.evaluation import BUCKET_LABELS
-from curvekit.kernelridge import KernelParams, KrLayout
+from curvekit.cli import ESTIMATOR_NAMES, build_estimators, build_parser
+from curvekit.kernelridge import KernelParams
 from curvekit.neural import (
     NnParams,
     grad_loss_error,
@@ -60,7 +59,7 @@ from curvekit.neural import (
     loss_error,
 )
 from curvekit.nss import NssParams
-from curvekit.pricing import BootstrapBase, macaulay_duration
+from curvekit.pricing import macaulay_duration
 
 GRID = TenorGrid()
 
@@ -302,20 +301,9 @@ def test_criterion_5_regularizer_direction():
 
 
 def _desk_estimators():
-    nss_cfg = NssFitConfig(starts=6, max_iter=4000, seed=0)
-    nn_cfg = TrainConfig(epochs=150, seed=0)
-    kernel = KernelParams()
-
-    def kr(s, layout=None):
-        return KrCurve(fit_kr(s, 1e-2, kernel, layout))
-
-    # bootstrap and KR reuse the day's work as the command line does, so their replicates run serially
-    return [
-        Estimator("bootstrap", bootstrap, lambda day: partial(bootstrap, base=BootstrapBase(day))),
-        Estimator("nss", lambda s: NssCurve(fit_nss(s, nss_cfg))),
-        Estimator("kr", kr, lambda day: partial(kr, layout=KrLayout(day, kernel))),
-        Estimator("nn", lambda s: NnCurve(train(s, nn_cfg))),
-    ]
+    # the command line's estimators, so bootstrap and KR reuse the day's work and their replicates run serially
+    args = build_parser().parse_args(["fit", "d.json", "--estimator", "kr", "--nss-starts", "6", "--nn-epochs", "150"])
+    return [est for est, _ in build_estimators(args, ESTIMATOR_NAMES)]
 
 
 def test_criterion_6_protocol_reproduction():
@@ -334,26 +322,26 @@ def test_criterion_6_protocol_reproduction():
         ]
         for est in _desk_estimators():
             rows = perturb_price_experiment(snap, est, long_bond, [0.03, 0.05, 0.10])
-            if [r.bump for r in rows] != [0.03, 0.05, 0.10] or any(r.error for r in rows):
+            if [r["bump"] for r in rows] != [0.03, 0.05, 0.10] or any(r["error"] for r in rows):
                 failures.append(f"{est.name}: perturb shape")
             drops = drop_bonds_experiment(snap, est, [1, 5, 10], n_mc=10, seed=0)
-            if [d.count for d in drops] != [1, 5, 10] or any(d.rmse_curve is None for d in drops):
+            if [d["count"] for d in drops] != [1, 5, 10] or any(d["rmse_curve"] is None for d in drops):
                 failures.append(f"{est.name}: drop shape")
             stab = stability_experiment(days, est, threshold=0.0010)
-            if len(stab.day_rmse) != 29 or set(stab.hit_rate) != set(BUCKET_LABELS):
+            if len(stab["day_rmse"]) != 29 or set(stab["hit_rate"]) != set(BUCKET_LABELS):
                 failures.append(f"{est.name}: stability shape")
-            if stab.hit_rate["Full"] is None:
+            if stab["hit_rate"]["Full"] is None:
                 failures.append(f"{est.name}: stability hit rate missing")
             loo = loo_experiment(snap, est, n_mc=10, seed=0)
-            if set(loo.per_bucket) != set(BUCKET_LABELS) or loo.per_bucket["Full"] is None:
+            if set(loo["per_bucket"]) != set(BUCKET_LABELS) or loo["per_bucket"]["Full"] is None:
                 failures.append(f"{est.name}: loo shape")
-            if loo.n_failed:
-                failures.append(f"{est.name}: loo had {loo.n_failed} failed fits")
+            if loo["n_failed"]:
+                failures.append(f"{est.name}: loo had {loo['n_failed']} failed fits")
         # deterministic seed-fixed values: repeat one protocol and compare
         est = _desk_estimators()[2]
         again = loo_experiment(snap, est, n_mc=10, seed=0)
         base = loo_experiment(snap, est, n_mc=10, seed=0)
-        if again.per_bucket != base.per_bucket:
+        if again["per_bucket"] != base["per_bucket"]:
             failures.append("loo rerun differs under fixed seed")
 
 
@@ -407,9 +395,9 @@ def test_criterion_7_metric_bruteforce_equivalence():
         ]
         for threshold in (0.0005, 0.0010, 0.0030):
             stab = stability_experiment(days, est, threshold=threshold)
-            vals = [d["Full"] for d in stab.day_rmse]
+            vals = [d["Full"] for d in stab["day_rmse"]]
             naive_hit = sum(1 for v in vals if v < threshold) / len(vals)
-            if abs(stab.hit_rate["Full"] - naive_hit) > 1e-12:
+            if abs(stab["hit_rate"]["Full"] - naive_hit) > 1e-12:
                 failures.append(f"hit rate at {threshold}")
 
 

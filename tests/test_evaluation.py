@@ -180,13 +180,13 @@ class TestUnevaluableCurve:
     def test_perturb_records_the_replicate_as_failed(self, zc_snapshot):
         rows = perturb_price_experiment(zc_snapshot, unevaluable_except([zc_snapshot]),
                                         zc_snapshot.bonds[-1].id, [0.03, 0.05])
-        assert [(r.rmse_curve, r.mad, r.error) for r in rows] == [(None, None, "fitted discount is non-positive")] * 2
+        assert [(r["rmse_curve"], r["mad"], r["error"]) for r in rows] == [(None, None, "fitted discount is non-positive")] * 2
 
     def test_drop_records_the_replicate_as_failed(self, zc_snapshot):
         rows = drop_bonds_experiment(zc_snapshot, unevaluable_except([zc_snapshot]), [1], n_mc=3, seed=0)
-        assert rows[0].n_failed == 3
-        assert rows[0].rmse_curve is None and rows[0].mad is None
-        assert all(rep.error == "fitted discount is non-positive" for rep in rows[0].replications)
+        assert rows[0]["n_failed"] == 3
+        assert rows[0]["rmse_curve"] is None and rows[0]["mad"] is None
+        assert all(rep["error"] == "fitted discount is non-positive" for rep in rows[0]["replications"])
 
     @pytest.mark.parametrize("experiment", [
         lambda snap, est: perturb_price_experiment(snap, est, snap.bonds[-1].id, [0.03]),
@@ -213,10 +213,10 @@ class TestUnevaluableCurve:
             for i in range(4)
         ]
         result = stability_experiment(days, unevaluable_except([days[0], days[2], days[3]]))
-        assert result.skipped == ("day-1: fitted discount is non-positive",)
-        assert result.curves[1] is None
-        assert [d["date"] for d in result.day_rmse] == ["day-3"]
-        assert [row["date"] for row in result.fixed_tenor_series] == ["day-0", "day-2", "day-3"]
+        assert result["skipped"] == ("day-1: fitted discount is non-positive",)
+        assert result["curves"][1] is None
+        assert [d["date"] for d in result["day_rmse"]] == ["day-3"]
+        assert [row["date"] for row in result["fixed_tenor_series"]] == ["day-0", "day-2", "day-3"]
 
 
 class TestBuckets:
@@ -245,19 +245,19 @@ class TestPerturb:
     @every_estimator
     def test_zero_bump_gives_zero_metrics(self, zc_snapshot, estimator):
         rows = perturb_price_experiment(zc_snapshot, estimator, zc_snapshot.bonds[0].id, [0.0])
-        assert (rows[0].rmse_curve, rows[0].mad, rows[0].error) == (0.0, 0.0, None)
+        assert (rows[0]["rmse_curve"], rows[0]["mad"], rows[0]["error"]) == (0.0, 0.0, None)
 
     def test_three_bumps_three_rows(self, zc_snapshot):
         bond_id = zc_snapshot.bonds[-1].id
         rows = perturb_price_experiment(zc_snapshot, KR, bond_id, [0.03, 0.05, 0.10])
-        assert [r.bump for r in rows] == [0.03, 0.05, 0.10]
-        assert all(r.error is None and r.rmse_curve > 0 for r in rows)
+        assert [r["bump"] for r in rows] == [0.03, 0.05, 0.10]
+        assert all(r["error"] is None and r["rmse_curve"] > 0 for r in rows)
 
     def test_bootstrap_response_monotone_in_bump(self, zc_snapshot):
         bond_id = zc_snapshot.bonds[-1].id
         rows = perturb_price_experiment(zc_snapshot, BOOTSTRAP, bond_id, [0.0, 0.01, 0.03, 0.05, 0.10])
-        rmses = [r.rmse_curve for r in rows]
-        mads = [r.mad for r in rows]
+        rmses = [r["rmse_curve"] for r in rows]
+        mads = [r["mad"] for r in rows]
         assert all(b >= a for a, b in zip(rmses, rmses[1:])), rmses
         assert all(b >= a for a, b in zip(mads, mads[1:])), mads
 
@@ -287,23 +287,23 @@ class TestPerturb:
 class TestDrop:
     def test_rows_and_averaging(self, zc_snapshot):
         rows = drop_bonds_experiment(zc_snapshot, KR, [1, 3], n_mc=4, seed=0)
-        assert [r.count for r in rows] == [1, 3]
+        assert [r["count"] for r in rows] == [1, 3]
         for row in rows:
-            assert len(row.replications) == 4
-            assert row.n_failed == 0
-            expected = np.mean([rep.rmse_curve for rep in row.replications])
-            assert row.rmse_curve == pytest.approx(expected, rel=1e-12)
+            assert len(row["replications"]) == 4
+            assert row["n_failed"] == 0
+            expected = np.mean([rep["rmse_curve"] for rep in row["replications"]])
+            assert row["rmse_curve"] == pytest.approx(expected, rel=1e-12)
 
     @every_estimator
     def test_zero_count_gives_zero(self, zc_snapshot, estimator):
         rows = drop_bonds_experiment(zc_snapshot, estimator, [0], n_mc=2, seed=0)
-        assert (rows[0].rmse_curve, rows[0].mad, rows[0].n_failed) == (0.0, 0.0, 0)
+        assert (rows[0]["rmse_curve"], rows[0]["mad"], rows[0]["n_failed"]) == (0.0, 0.0, 0)
 
     def test_same_seed_same_drop_sets_across_estimators(self, zc_snapshot):
         a = drop_bonds_experiment(zc_snapshot, KR, [2], n_mc=5, seed=7)
         b = drop_bonds_experiment(zc_snapshot, BOOTSTRAP, [2], n_mc=5, seed=7)
-        ids_a = [rep.dropped_ids for rep in a[0].replications]
-        ids_b = [rep.dropped_ids for rep in b[0].replications]
+        ids_a = [rep["dropped_ids"] for rep in a[0]["replications"]]
+        ids_b = [rep["dropped_ids"] for rep in b[0]["replications"]]
         assert ids_a == ids_b
 
     def test_count_must_leave_bonds(self, zc_snapshot):
@@ -324,8 +324,8 @@ class TestDrop:
         snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=6, seed=2))
         nss = Estimator("nss", lambda s: NssCurve(fit_nss(s)))
         rows = drop_bonds_experiment(snap, nss, [1], n_mc=3, seed=1)
-        assert rows[0].n_failed == 3          # 5 bonds < 6-parameter requirement
-        assert rows[0].rmse_curve is None
+        assert rows[0]["n_failed"] == 3          # 5 bonds < 6-parameter requirement
+        assert rows[0]["rmse_curve"] is None
 
 
 class TestStability:
@@ -342,12 +342,12 @@ class TestStability:
     @every_estimator
     def test_identical_days_hit_rate_one(self, zc_snapshot, estimator):
         result = stability_experiment([zc_snapshot] * 3, estimator)
-        assert [[d[bucket] for bucket in BUCKET_LABELS] for d in result.day_rmse] == [[0.0] * 4] * 2
-        assert result.hit_rate == {bucket: 1.0 for bucket in BUCKET_LABELS}
+        assert [[d[bucket] for bucket in BUCKET_LABELS] for d in result["day_rmse"]] == [[0.0] * 4] * 2
+        assert result["hit_rate"] == {bucket: 1.0 for bucket in BUCKET_LABELS}
 
     def test_zero_threshold_hit_rate_zero(self, zc_snapshot):
         result = stability_experiment([zc_snapshot] * 3, BOOTSTRAP, threshold=0.0)
-        assert result.hit_rate["Full"] == 0.0
+        assert result["hit_rate"]["Full"] == 0.0
 
     def test_requires_two_snapshots(self, zc_snapshot):
         with pytest.raises(ValidationError):
@@ -361,21 +361,21 @@ class TestStability:
     def test_series_matches_replayed_pairs(self):
         days = self.drifting_days()
         result = stability_experiment(days, BOOTSTRAP)
-        assert len(result.day_rmse) == len(days) - 1
-        for i, entry in enumerate(result.day_rmse):
-            expected = rmse_curve(result.curves[i + 1], result.curves[i], GRID)
+        assert len(result["day_rmse"]) == len(days) - 1
+        for i, entry in enumerate(result["day_rmse"]):
+            expected = rmse_curve(result["curves"][i + 1], result["curves"][i], GRID)
             assert entry["Full"] == pytest.approx(expected, rel=1e-12)
             for bucket in BUCKET_LABELS[1:]:
                 sub = np.array([t for t in GRID if bucket_of(t) == bucket])
                 assert entry[bucket] == pytest.approx(
-                    rmse_curve(result.curves[i + 1], result.curves[i], sub), rel=1e-12
+                    rmse_curve(result["curves"][i + 1], result["curves"][i], sub), rel=1e-12
                 )
 
     def test_fixed_tenor_series_tracks_benchmark(self):
         days = self.drifting_days(n_days=4)
         result = stability_experiment(days, BOOTSTRAP)
-        assert len(result.fixed_tenor_series) == 4
-        for row, snap in zip(result.fixed_tenor_series, days):
+        assert len(result["fixed_tenor_series"]) == 4
+        for row, snap in zip(result["fixed_tenor_series"], days):
             assert row["benchmark_2Y"] == pytest.approx(snap.benchmark.yield_at(2.0), rel=1e-12)
             assert row["2Y"] == pytest.approx(row["benchmark_2Y"] + 0.004, abs=2e-3)
 
@@ -384,35 +384,35 @@ class TestStability:
         bad = MarketSnapshot(date="bad-day", bonds=days[1].bonds[:5], benchmark=days[1].benchmark)
         nss = Estimator("nss", lambda s: NssCurve(fit_nss(s)))
         result = stability_experiment([days[0], bad, days[2], days[3]], nss)
-        assert any("bad-day" in s for s in result.skipped)
-        assert len(result.day_rmse) == 1  # only the day3/day2 pair survives
+        assert any("bad-day" in s for s in result["skipped"])
+        assert len(result["day_rmse"]) == 1  # only the day3/day2 pair survives
 
 
 class TestLeaveOneOut:
     def test_oracle_estimator_scores_zero(self, zc_snapshot):
         oracle = Estimator("oracle", lambda s: FlatCurve(0.02))
         result = loo_experiment(zc_snapshot, oracle, n_mc=10, seed=0)
-        assert result.per_bucket["Full"] <= 1e-6
+        assert result["per_bucket"]["Full"] <= 1e-6
 
     def test_report_has_four_buckets(self, zc_snapshot):
         result = loo_experiment(zc_snapshot, KR, n_mc=10, seed=0)
-        assert set(result.per_bucket) == set(BUCKET_LABELS)
-        assert result.counts["Full"] == 10
-        assert result.per_bucket["Full"] is not None
+        assert set(result["per_bucket"]) == set(BUCKET_LABELS)
+        assert result["counts"]["Full"] == 10
+        assert result["per_bucket"]["Full"] is not None
 
     def test_per_bucket_matches_replication_log(self, zc_snapshot):
         result = loo_experiment(zc_snapshot, KR, n_mc=12, seed=3)
         for bucket in BUCKET_LABELS:
-            sq = [r.sq_err for r in result.replications
-                  if bucket in ("Full", r.bucket) and r.sq_err is not None]
+            sq = [r["sq_err"] for r in result["replications"]
+                  if bucket in ("Full", r["bucket"]) and r["sq_err"] is not None]
             if sq:
-                assert result.per_bucket[bucket] == pytest.approx(math.sqrt(np.mean(sq)), rel=1e-12)
+                assert result["per_bucket"][bucket] == pytest.approx(math.sqrt(np.mean(sq)), rel=1e-12)
             else:
-                assert result.per_bucket[bucket] is None
+                assert result["per_bucket"][bucket] is None
 
     def test_bucket_filter_restricts_draws(self, zc_snapshot):
         result = loo_experiment(zc_snapshot, KR, n_mc=8, bucket_filter="<2Y", seed=1)
-        assert all(r.bucket == "<2Y" for r in result.replications)
+        assert all(r["bucket"] == "<2Y" for r in result["replications"])
 
     def test_filter_needs_two_bonds(self):
         snap = generate_scenario(
@@ -427,6 +427,31 @@ class TestLeaveOneOut:
         for n_mc in (0, -1):
             with pytest.raises(ValidationError, match="n_mc"):
                 loo_experiment(zc_snapshot, NO_FIT, n_mc=n_mc, seed=0)
+
+
+MOVE = ["rmse_curve", "mad", "error"]
+# protocol -> (its run on a day, the records of its result, each with its keys in order)
+RECORDS = {
+    "perturb": (lambda day: perturb_price_experiment(day, BOOTSTRAP, day.bonds[-1].id, [0.03, 0.05]),
+                lambda rows: [(row, ["bump", *MOVE]) for row in rows]),
+    "drop": (lambda day: drop_bonds_experiment(day, BOOTSTRAP, [1, 2], n_mc=2, seed=0),
+             lambda rows: [(row, ["count", "rmse_curve", "mad", "n_failed", "replications"]) for row in rows]
+             + [(rep, ["dropped_ids", *MOVE]) for row in rows for rep in row["replications"]]),
+    "stability": (lambda day: stability_experiment([day] * 3, BOOTSTRAP),
+                  lambda result: [(result, ["day_rmse", "hit_rate", "fixed_tenor_series", "curves", "skipped"])]),
+    "loo": (lambda day: loo_experiment(day, BOOTSTRAP, n_mc=3, seed=0),
+            lambda result: [(result, ["per_bucket", "counts", "replications", "n_failed"])]
+            + [(rep, ["bond_id", "bucket", "sq_err", "error"]) for rep in result["replications"]]),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("protocol", RECORDS)
+    def test_keys_in_order(self, zc_snapshot, protocol):
+        # a protocol returns plain records, whose keys a report writes in this order
+        run, records = RECORDS[protocol]
+        pairs = records(run(zc_snapshot))
+        assert [list(record) for record, _ in pairs] == [keys for _, keys in pairs]
 
 
 class TestReports:

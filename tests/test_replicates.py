@@ -238,8 +238,8 @@ def test_a_kernel_that_overflows_only_at_the_longest_bond(monkeypatch):
     reps = [dropped(day, {bond.id}) for bond in day.bonds]
     layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
     outcomes = [outcome(fit) for fit in kr.fit_many(day, [day, *reps])]
-    # the day's G is not finite, so each replicate that drops a bond lays out its own
-    assert len(layouts) == 1 + len(reps)
+    # the day's G is not finite, yet every replicate is sliced from its layout
+    assert len(layouts) == 1
     assert_same(outcomes, [outcome(lambda r=r: kr.fit(r)) for r in [day, *reps]])
     assert [o[0] == "FitFailureError" for o in outcomes] == [True] + [b.maturity != longest for b in day.bonds]
 
@@ -266,8 +266,8 @@ def assert_stability_own_fits(estimator, days):
     result = stability_experiment(days, estimator)
     alone = [outcome(lambda d=d: estimator.fit(d)) for d in days]
     failed = [isinstance(o[0], str) for o in alone]  # an error's type name and message
-    assert [c is None for c in result.curves] == failed
-    assert_same([outcome(lambda c=c: c) for c in result.curves if c is not None],
+    assert [c is None for c in result["curves"]] == failed
+    assert_same([outcome(lambda c=c: c) for c in result["curves"] if c is not None],
                 [o for o, f in zip(alone, failed) if not f])
     assert_own_fits(estimator, days[0], days)
     return result
@@ -323,8 +323,8 @@ def test_a_stability_day_whose_every_bond_is_skipped(name, bad):
     days = days_of("rising", 15)
     days[bad] = replace(days[bad], bonds=(replace(b, market_price=b.market_price * 10.0) for b in days[bad].bonds))
     result = assert_stability_own_fits(ESTIMATORS[name], days)
-    assert [c is None for c in result.curves] == [i == bad for i in range(5)]
-    assert len(result.skipped) == 1 and result.skipped[0].startswith(f"day-{bad}: ")
+    assert [c is None for c in result["curves"]] == [i == bad for i in range(5)]
+    assert len(result["skipped"]) == 1 and result["skipped"][0].startswith(f"day-{bad}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +352,20 @@ def test_a_failed_kr_replicate_fails_alone(protocol, seed, n_failed):
     kr = estimators(*UNEVALUABLE_KR)["kr"]
     if protocol == "drop":
         base, _ = refit(kr, day, grid_yields)
-        reps = [rep for row in drop_bonds_experiment(day, kr, [1, 2], 4, seed=0) for rep in row.replications]
+        reps = [rep for row in drop_bonds_experiment(day, kr, [1, 2], 4, seed=0) for rep in row["replications"]]
         for rep in reps:
-            ys, exc = refit(kr, dropped(day, set(rep.dropped_ids)), grid_yields)
+            ys, exc = refit(kr, dropped(day, set(rep["dropped_ids"])), grid_yields)
             alone = (None, None, str(exc)) if exc else (
                 float(np.sqrt(np.mean((base - ys) ** 2))), float(np.max(np.abs(base - ys))), None)
-            assert (rep.rmse_curve, rep.mad, rep.error) == alone
+            assert (rep["rmse_curve"], rep["mad"], rep["error"]) == alone
     else:
-        reps = loo_experiment(day, kr, 6, seed=0).replications
+        reps = loo_experiment(day, kr, 6, seed=0)["replications"]
         for rep in reps:
-            held = day.bond(rep.bond_id)
+            held = day.bond(rep["bond_id"])
             err, exc = refit(kr, dropped(day, {held.id}),
                              lambda curve: curve.yields(np.array([held.maturity]))[0] - yield_to_maturity(held))
-            assert (rep.sq_err, rep.error) == ((None, str(exc)) if exc else (float(err**2), None))
-    failed = [rep.error for rep in reps if rep.error is not None]
+            assert (rep["sq_err"], rep["error"]) == ((None, str(exc)) if exc else (float(err**2), None))
+    failed = [rep["error"] for rep in reps if rep["error"] is not None]
     assert len(failed) == n_failed
     assert all(e.startswith("fitted discount is non-positive at ") for e in failed)
 
