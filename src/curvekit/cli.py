@@ -18,6 +18,7 @@ report provenance field.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import sys
@@ -253,10 +254,11 @@ def cmd_fit(args) -> int:
         with open(model_path, "w") as fh:
             json.dump(model_dict(curve, snapshot), fh, indent=2)
             fh.write("\n")
-        with open(samples_path, "w") as fh:
-            fh.write("tenor,yield,benchmark_yield\n")
+        with open(samples_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["tenor", "yield", "benchmark_yield"])
             for t, y, rate in zip(tenors.tolist(), samples, snapshot.benchmark.yields(tenors).tolist()):
-                fh.write(f"{t!r},{y!r},{rate!r}\n")
+                writer.writerow([repr(t), repr(y), repr(rate)])
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO

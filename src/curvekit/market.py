@@ -391,7 +391,7 @@ def save_snapshot(snapshot: MarketSnapshot, path, format: str = "json") -> None:
             fh.write("\n")
     elif format == "csv":
         with open(path, "w", newline="") as fh:
-            fh.write(f"# date: {snapshot.date}\n")
+            fh.write(f"# date: {snapshot.date}\r\n")   # csv.writer ends its rows in CRLF too
             writer = csv.writer(fh)
             writer.writerow(_CSV_HEADER)
             for b in snapshot.bonds:

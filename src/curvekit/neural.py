@@ -16,14 +16,19 @@ to the lower index). Everything is deterministic given the seed.
 
 Every step, whatever its kind (a bond's price error alone, the price error
 with the per-bond penalties, or the per-epoch penalty on its own), is one
-formulation. One forward pass runs over the concatenated inputs
-``[cashflow times | grid tenors]``: one ``tanh`` fills a (3, H, n + G) table of
-dy/dw, dy/db, dy/dv, and one curve matvec gives y at every input. The step
-then writes d loss / d y at each input into one weight vector:
-``2 err (-t disc)`` on the cashflow times and, on the grid, the finite
-difference of ``(gamma1 s [i = argmax] + gamma2 sign(e) / G) / dt``. One
-matmul of the table against that vector is the gradient. ``grad_loss_*`` and
-``total_loss`` run the same step.
+formulation over the packed weights theta = [w | b | v | c] and the
+concatenated inputs ``[cashflow times | grid tenors]``. One matmul of
+``[w | b]`` against ``[inputs; 1]`` and one ``tanh`` fill a (3H + 1, n + G)
+table of dy/dw, dy/db, dy/dv and dy/dc, whose last row is 1 on the cashflow
+times and 0 on the grid (c moves the price; the penalties see slopes alone,
+and c cancels in a slope). One matvec of ``[v | c]`` against the table's last
+H + 1 rows gives y at every input. The step then writes d loss / d y at each
+input into one weight vector, times a scale: ``2 err (-t disc)`` on the
+cashflow times and, on the grid, the finite difference of
+``(gamma1 s [i = argmax] + gamma2 sign(e) / G) / dt``. One matmul of the
+table against that vector is the scaled gradient. Training scales by the
+learning rate, so its update is one in-place subtract; ``grad_loss_*`` and
+``total_loss`` run the same step at scale 1.
 
 Training chains tens of thousands of tiny steps, so a last-bit change in a
 step (another summation order, another SIMD path) moves the trained weights.
@@ -47,8 +52,6 @@ from .market import BenchmarkCurve, MarketSnapshot, sort_bonds
 from .pricing import YTM_BRACKET, YieldCurve, cashflow_schedule, yield_to_maturity
 
 _REGULARIZER_MODES = ("per_bond", "per_epoch")
-
-_sum = np.add.reduce   # what np.sum and ndarray.sum run, without their Python wrappers
 
 
 @dataclass(frozen=True)
@@ -134,35 +137,37 @@ class NnCurve(YieldCurve):
 
 
 class _Pass:
-    """Buffers for one step over the inputs ``[cashflow times | grid tenors]``.
+    """One step of the network ``theta`` over the inputs ``[cashflow times | grid tenors]``.
 
-    After ``_forward``, ``rows`` (3, H, n + G) holds dy/dw, dy/db and dy/dv
-    (= tanh) of the network output at every input and ``y`` (n + G) the output
-    itself. ``ts`` repeats the inputs once per hidden unit and ``index`` names
-    the parameter each entry of ``rows`` starts from, so ``_forward`` fills
-    the table with one gather and same-shape elementwise calls. A step writes
-    d loss / d y into ``weights``: ``2 err d price / d y`` on the n cashflow
-    times and the penalty's weight on the G grid tenors (``_penalty``). A pass
-    without a bond (n = 0) serves the grid alone; one without a grid (G = 0)
-    serves the price alone.
+    The pass reads the packed weights theta = [w | b | v | c] through views
+    taken when it is built, so each step sees ``theta`` as updated in place.
+    ``U`` (2, n + G) is ``[inputs; 1]``. After ``_forward``, the table ``T``
+    (3H + 1, n + G) holds dy/dw, dy/db, dy/dv (= tanh) and dy/dc of the
+    network output at every input, and ``y`` (n + G) the output itself. The
+    dy/dc row is set once: 1 on the n cashflow times and 0 on the G grid
+    tenors, so c reaches the price alone. A step writes d loss / d y, times
+    its scale, into ``weights``: ``2 err d price / d y`` on the cashflow times
+    and the penalty's weight on the grid tenors (``_penalty``). A pass without
+    a bond (n = 0) serves the grid alone; one without a grid (G = 0) serves
+    the price alone.
     """
 
-    __slots__ = ("id", "price", "n", "ts", "index", "neg_times", "neg_flows", "amounts", "rows", "flat", "th",
-                 "y", "y_price", "y_hi", "y_lo", "disc", "weights", "w_price", "w_grid", "slopes", "gap",
-                 "q_pad", "q")
+    __slots__ = ("id", "price", "n", "wb", "v", "vc", "U", "inputs", "T", "dw", "db", "th", "vc_rows", "neg_times",
+                 "neg_flows", "amounts", "y", "y_price", "y_hi", "y_lo", "disc", "weights", "w_price", "w_grid",
+                 "slopes", "gap", "q_pad", "q")
 
-    def __init__(self, h, times, amounts=None, price=None, bond_id=None, tenors=None):
-        n = len(times)
+    def __init__(self, theta, times, amounts=None, price=None, bond_id=None, tenors=None):
+        h, n = len(theta) // 3, len(times)
         g = 0 if tenors is None else len(tenors)
         self.id, self.price, self.n, self.amounts = bond_id, price, n, amounts
-        self.ts = np.tile(np.concatenate([times, tenors if g else np.empty(0)]), h)
-        unit = np.repeat(np.arange(h), n + g)
-        self.index = np.stack([unit + 2 * h, unit + h, unit])    # gathers v, b, w into rows
+        self.wb, self.v, self.vc = theta[:2 * h].reshape(2, h).T, theta[2 * h:3 * h, None], theta[2 * h:]
+        self.U = np.stack([np.concatenate([times, tenors if g else np.empty(0)]), np.ones(n + g)])
+        self.inputs = self.U[0]
+        self.T = np.zeros((3 * h + 1, n + g))
+        self.T[3 * h, :n] = 1.0    # dy/dc
+        self.dw, self.db, self.th, self.vc_rows = self.T[:h], self.T[h:2 * h], self.T[2 * h:3 * h], self.T[2 * h:]
         self.neg_times = -times
         self.neg_flows = self.neg_times * amounts if n else None    # -t * amount
-        self.rows = np.empty((3, h, n + g))
-        self.flat = self.rows.reshape(3, h * (n + g))
-        self.th = self.rows[2]
         self.y = np.empty(n + g)
         self.y_price, self.y_hi, self.y_lo = self.y[:n], self.y[n + 1:], self.y[n:-1]
         self.disc = np.empty(n)
@@ -178,37 +183,35 @@ class _Penalty:
     """``gamma1 * L_smooth + gamma2 * L_trend`` over one tenor grid.
 
     A slope's sign times its scale is the ``q_i`` of ``_penalty``:
-    ``trend_scale`` is gamma2 / (G dt_i) for every slope gap and
-    ``smooth_scale`` gamma1 / dt_i for the steepest slope.
+    ``trend_scale`` is scale gamma2 / (G dt_i) for every slope gap and
+    ``smooth_scale`` scale gamma1 / dt_i for the steepest slope, where scale
+    is the step's (the learning rate in ``train``, 1 for a gradient).
     """
 
     __slots__ = ("tenors", "dt", "gamma1", "gamma2", "n_grid", "bench_slopes", "trend_scale", "smooth_scale")
 
-    def __init__(self, tenors, gamma1, gamma2, benchmark=None):
+    def __init__(self, tenors, gamma1, gamma2, benchmark=None, scale=1.0):
         self.tenors, self.dt = tenors, np.diff(tenors)
         self.gamma1, self.gamma2, self.n_grid = gamma1, gamma2, len(tenors)
         self.bench_slopes = _benchmark_slopes(benchmark, tenors) if gamma2 else None
-        self.trend_scale = gamma2 / self.n_grid / self.dt
-        self.smooth_scale = (gamma1 / self.dt).tolist()
+        self.trend_scale = scale * gamma2 / self.n_grid / self.dt
+        self.smooth_scale = (scale * gamma1 / self.dt).tolist()
 
 
-def _forward(theta, v, c, p: _Pass) -> None:
-    """Fill ``p.rows`` and ``p.y`` at ``theta`` = [w | b | v] (``v`` its last third) and ``c``."""
-    dw, db, dv = p.flat
-    theta.take(p.index, out=p.flat, mode="clip")   # rows: v, b, w repeated per input
-    np.multiply(dv, p.ts, out=dv)
-    np.add(dv, db, out=dv)
-    np.tanh(dv, out=dv)                             # tanh(w u + b)
-    np.multiply(dv, dv, out=db)
+def _forward(p: _Pass) -> None:
+    """Fill ``p.T`` and ``p.y`` at the pass's theta."""
+    th, db = p.th, p.db
+    p.wb.dot(p.U, out=th)                        # w u + b
+    np.tanh(th, out=th)
+    np.multiply(th, th, out=db)
     np.subtract(1.0, db, out=db)
-    np.multiply(dw, db, out=db)                     # v sech^2
-    np.multiply(db, p.ts, out=dw)                   # v sech^2 u
-    np.matmul(v, p.th, out=p.y)
-    np.add(p.y, c, out=p.y)
+    np.multiply(db, p.v, out=db)                 # v sech^2
+    np.multiply(db, p.inputs, out=p.dw)          # v sech^2 u
+    p.vc.dot(p.vc_rows, out=p.y)                 # v tanh + c on the price inputs
 
 
 def _penalty(p: _Pass, pen: _Penalty) -> float:
-    """Penalty value at the grid outputs of ``p``; writes its d / d y into ``p.w_grid``.
+    """Penalty value at the grid outputs of ``p``; writes its scaled d / d y into ``p.w_grid``.
 
     With ``q_i`` = (d penalty / d slope_i) / dt_i, the weight on output j is
     ``q_{j-1} - q_j`` (``q`` is zero-padded at both ends). The max in
@@ -227,7 +230,7 @@ def _penalty(p: _Pass, pen: _Penalty) -> float:
     if pen.gamma2:
         np.subtract(slopes, pen.bench_slopes, out=p.gap)
         np.sign(p.gap, out=q)
-        value += pen.gamma2 * (float(q @ p.gap) / pen.n_grid)    # sign(e) . e = sum |e|
+        value += pen.gamma2 * (float(q.dot(p.gap)) / pen.n_grid)    # sign(e) . e = sum |e|
         np.multiply(q, pen.trend_scale, out=q)
     else:
         q.fill(0.0)
@@ -237,28 +240,28 @@ def _penalty(p: _Pass, pen: _Penalty) -> float:
     return value
 
 
-def _step(theta, v, c, p: _Pass, pen: _Penalty | None, grad) -> tuple[float, float]:
-    """Loss at ``p`` and its gradient: d / d[w, b, v] into ``grad`` (3, H), d / dc returned.
+def _step(p: _Pass, pen: _Penalty | None, grad, scale: float) -> float:
+    """Loss at ``p``; ``scale`` times its gradient in theta = [w | b | v | c] into ``grad``.
 
     The loss is the squared price error of the pass's bond (if it has one)
-    plus ``pen`` at its grid (if it has one). ``c`` moves only the price: the
-    penalties see slopes alone.
+    plus ``pen`` at its grid (if it has one), and is returned unscaled.
+    ``pen`` carries the same scale in its ``trend_scale`` and
+    ``smooth_scale``.
     """
-    _forward(theta, v, c, p)
-    loss = gc = 0.0
+    _forward(p)
+    loss = 0.0
     if p.n:
         disc, w_price = p.disc, p.w_price
         np.multiply(p.neg_times, p.y_price, out=disc)
         np.exp(disc, out=disc)                      # discount factors
-        err = float(p.amounts @ disc) - p.price
+        err = float(p.amounts.dot(disc)) - p.price
         loss = err * err                            # inf on overflow, where err**2 would raise
         np.multiply(p.neg_flows, disc, out=w_price)  # d price / d y(t_k)
-        np.multiply(w_price, 2.0 * err, out=w_price)
-        gc = float(_sum(w_price))
+        np.multiply(w_price, 2.0 * scale * err, out=w_price)
     if len(p.w_grid):
         loss += _penalty(p, pen)
-    np.matmul(p.rows, p.weights, out=grad)
-    return loss, gc
+    p.T.dot(p.weights, out=grad)
+    return loss
 
 
 def _benchmark_slopes(benchmark: BenchmarkCurve, tenors: np.ndarray) -> np.ndarray:
@@ -266,10 +269,15 @@ def _benchmark_slopes(benchmark: BenchmarkCurve, tenors: np.ndarray) -> np.ndarr
 
 
 def _theta(params: NnParams) -> np.ndarray:
-    return np.array(params.w + params.b + params.v)
+    return np.array(params.w + params.b + params.v + (params.c,))
 
 
-def _bond_passes(snapshot: MarketSnapshot, h: int, tenors=None) -> list[_Pass]:
+def _unpack(theta: np.ndarray, h: int) -> tuple:
+    """``(w, b, v, c)`` of a packed vector [w | b | v | c]."""
+    return (*theta[:3 * h].reshape(3, h), float(theta[3 * h]))
+
+
+def _bond_passes(snapshot: MarketSnapshot, theta, tenors=None) -> list[_Pass]:
     """One pass per bond, in ascending maturity order (ties by id), priced per 100 of face.
 
     Each bond's amounts and price are scaled by 100 / face, so the loss and
@@ -282,16 +290,15 @@ def _bond_passes(snapshot: MarketSnapshot, h: int, tenors=None) -> list[_Pass]:
         for b in sort_bonds(snapshot.bonds):
             times, amounts = cashflow_schedule(b)
             scale = 100.0 / b.face_value
-            passes.append(_Pass(h, times, amounts * scale, b.market_price * scale, b.id, tenors))
+            passes.append(_Pass(theta, times, amounts * scale, b.market_price * scale, b.id, tenors))
     return passes
 
 
 def _grad_penalty(params: NnParams, pen: _Penalty):
     theta, h = _theta(params), params.hidden_count
-    grad = np.empty((3, h))
-    value, _ = _step(theta, theta[2 * h:], params.c,
-                     _Pass(h, np.empty(0), tenors=pen.tenors), pen, grad)
-    return value, (*grad, 0.0)
+    grad = np.empty(3 * h + 1)
+    value = _step(_Pass(theta, np.empty(0), tenors=pen.tenors), pen, grad, 1.0)
+    return value, _unpack(grad, h)
 
 
 def loss_error(params: NnParams, snapshot: MarketSnapshot) -> float:
@@ -300,18 +307,13 @@ def loss_error(params: NnParams, snapshot: MarketSnapshot) -> float:
 
 
 def grad_loss_error(params: NnParams, snapshot: MarketSnapshot):
-    theta, h, c = _theta(params), params.hidden_count, params.c
-    v = theta[2 * h:]
+    theta, h = _theta(params), params.hidden_count
+    total, g, grad = 0.0, np.zeros(3 * h + 1), np.empty(3 * h + 1)
+    for p in _bond_passes(snapshot, theta):
+        total += _step(p, None, grad, 1.0)
+        g += grad
     m = len(snapshot.bonds)
-    total = gc = 0.0
-    g3 = np.zeros((3, h))
-    grad = np.empty((3, h))
-    for p in _bond_passes(snapshot, h):
-        loss, pc = _step(theta, v, c, p, None, grad)
-        total += loss
-        g3 += grad
-        gc += pc
-    return total / m, (*(g3 / m), gc / m)
+    return total / m, _unpack(g / m, h)
 
 
 def loss_smooth(params: NnParams, grid) -> float:
@@ -360,21 +362,21 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
     non-finite, or if the trained curve's yield at a bond maturity is not
     finite or leaves ``YTM_BRACKET``, the range every flat yield lies in.
 
-    The step works on one packed vector theta = [w | b | v] (c stays a
-    float), updated in place. Every step kind is one ``_step`` over a
-    ``_Pass`` built once per training: the bond's cashflow times and, in
-    "per_bond" mode, the penalty grid after them; or the grid alone for the
-    per-epoch penalty. A step is one ``tanh`` and one curve matvec over all
-    its inputs, a weight vector of d loss / d y at each of them, and one
-    matmul of the derivative table against it.
+    The step works on one packed vector theta = [w | b | v | c], updated in
+    place. Every step kind is one ``_step`` over a ``_Pass`` built once per
+    training: the bond's cashflow times and, in "per_bond" mode, the penalty
+    grid after them; or the grid alone for the per-epoch penalty. A step is
+    one matmul and one ``tanh`` for the hidden units, one matvec for the
+    curve at all its inputs, a weight vector of ``learning_rate`` times
+    d loss / d y at each of them, and one matmul of the derivative table
+    against it, which is the whole update, c included.
     """
     config = config or TrainConfig()
+    lr = config.learning_rate
     penalised = config.gamma1 > 0 or config.gamma2 > 0
     per_bond_reg = penalised and config.regularizer == "per_bond"
-    pen = _Penalty(_tenors(config.grid), config.gamma1, config.gamma2, snapshot.benchmark) if penalised else None
+    pen = _Penalty(_tenors(config.grid), config.gamma1, config.gamma2, snapshot.benchmark, lr) if penalised else None
     h = config.hidden_count
-    passes = _bond_passes(snapshot, h, pen.tenors if per_bond_reg else None)
-    grid = _Pass(h, np.empty(0), tenors=pen.tenors) if penalised and not per_bond_reg else None
 
     maturities = [b.maturity for b in snapshot.bonds]
     span = max(max(maturities) - min(maturities), 1.0)
@@ -383,35 +385,33 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
         rng.normal(0.0, config.init_scale / span, h),   # w
         rng.normal(0.0, config.init_scale, h),          # b
         rng.normal(0.0, config.init_scale, h),          # v
+        [np.mean([yield_to_maturity(bond) for bond in snapshot.bonds])],    # c
     ])
-    theta3, v = theta.reshape(3, h), theta[2 * h:]
-    c = float(np.mean([yield_to_maturity(bond) for bond in snapshot.bonds]))
+    passes = _bond_passes(snapshot, theta, pen.tenors if per_bond_reg else None)
+    grid = _Pass(theta, np.empty(0), tenors=pen.tenors) if penalised and not per_bond_reg else None
 
-    lr = config.learning_rate
-    g = np.empty(3 * h)
-    g3 = g.reshape(3, h)
+    g = np.empty(3 * h + 1)
     # a diverging step overflows on its way to the non-finite loss that reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for j, p in enumerate(passes):
-                step_loss, gc = _step(theta, v, c, p, pen, g3)
+                step_loss = _step(p, pen, g, lr)
                 if not math.isfinite(step_loss):
                     raise DivergenceError(
                         f"training diverged: non-finite loss at epoch {epoch}, bond {p.id}",
                         epoch=epoch, bond_index=j,
                     )
-                theta -= lr * g
-                c = c - lr * gc
+                np.subtract(theta, g, out=theta)
             if grid is not None:
-                reg_loss, _ = _step(theta, v, c, grid, pen, g3)
+                reg_loss = _step(grid, pen, g, lr)
                 if not math.isfinite(reg_loss):
                     raise DivergenceError(
                         f"training diverged: non-finite penalty after epoch {epoch}",
                         epoch=epoch, bond_index=len(passes) - 1,
                     )
-                theta -= lr * g
+                np.subtract(theta, g, out=theta)
 
-        params = NnParams(w=tuple(theta3[0]), b=tuple(theta3[1]), v=tuple(theta3[2]), c=float(c))
+        params = NnParams(*_unpack(theta, h))
         final = total_loss(params, snapshot, config)
         if not np.isfinite(final):
             raise DivergenceError(

@@ -308,6 +308,15 @@ class TestExperiments:
         lines = (workdir / "rep.loo.kr.csv").read_text().splitlines()
         assert lines[0] == "experiment,estimator,bucket,metric,value,seed"
 
+    def test_every_csv_output_ends_its_lines_in_crlf(self, workdir):
+        path = generate_day(workdir, name="day.csv", bonds=10, extra=("--format", "csv"))
+        assert run(["fit", str(path), "--estimator", "bootstrap"]) == 0
+        assert run(["experiment", "perturb", str(path), "--estimators", "kr", "-o", "rep", "--format", "csv"]) == 0
+        for name in ("day.csv", "day.benchmark.csv", "day.bootstrap.samples.csv", "rep.perturb.kr.csv"):
+            lines = (workdir / name).read_bytes().splitlines(keepends=True)
+            assert len(lines) > 1
+            assert [line for line in lines if not line.endswith(b"\r\n")] == [], name
+
     def test_hyperscan_grid(self, workdir, capsys):
         path = generate_day(workdir, bonds=8)
         code = run(["experiment", "hyperscan", str(path), "--lr", "1e-7,1e-8",

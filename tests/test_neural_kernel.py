@@ -1,8 +1,11 @@
 """Trained networks against a recorded golden, and each step kind's gradient.
 
-``train`` takes one step per bond visit: one forward pass over the bond's
-cashflow times and the penalty grid, a weight vector of d loss / d y at each
-of them, and one matmul of the derivative table against it. Training chains
+``train`` takes one step per bond visit on the packed weights
+``[w | b | v | c]``: one forward pass over the bond's cashflow times and the
+penalty grid (a matmul for the hidden units, a matvec for the curve), a
+weight vector of the learning rate times d loss / d y at each of them, and
+one matmul of the derivative table against it, which is the update, c
+included. ``step_gradient`` runs that step at scale 1. Training chains
 tens of thousands of such steps, so a last-bit change in a step (a reordered
 sum, another SIMD path) moves the trained weights. It does not move them
 far: ``tests/data/nn_golden.json`` holds float.hex of the trained
@@ -143,13 +146,12 @@ def step_gradient(x, h, bond, g1, g2):
     pen = neural._Penalty(TENORS, g1, g2, BENCH) if with_grid else None
     tenors = TENORS if with_grid else None
     if bond is None:
-        p = neural._Pass(h, np.empty(0), tenors=tenors)
+        p = neural._Pass(x.copy(), np.empty(0), tenors=tenors)
     else:
-        p = neural._Pass(h, *cashflow_schedule(bond), bond.market_price, bond.id, tenors)
-    theta = x[:3 * h].copy()
-    grad = np.empty((3, h))
-    loss, gc = neural._step(theta, theta[2 * h:], x[3 * h], p, pen, grad)
-    return loss, np.append(grad.ravel(), gc)
+        p = neural._Pass(x.copy(), *cashflow_schedule(bond), bond.market_price, bond.id, tenors)
+    grad = np.empty(3 * h + 1)
+    loss = neural._step(p, pen, grad, 1.0)
+    return loss, grad
 
 
 class TestStepGradient:
