@@ -338,9 +338,12 @@ def perturb_price_experiment(
     and the estimator refit; rows ``{"bump", "rmse_curve", "mad", "error"}``
     report RMSE and MAD against the unperturbed fit. Fit failures are recorded
     in the row and the experiment continues; a failed unperturbed fit raises
-    ``FitFailureError``.
+    ``FitFailureError``, an unknown ``bond_id`` or a bad bump ``ValidationError``.
     """
-    price = snapshot.bond(bond_id).market_price  # raises KeyError for unknown ids
+    try:
+        price = snapshot.bond(bond_id).market_price
+    except KeyError as exc:
+        raise ValidationError(exc.args[0]) from None
     bumps = list(bumps)
     if not all(bump > -1 for bump in bumps):
         raise ValidationError(f"bumps must be > -1 so the bumped price stays positive, got {bumps}")

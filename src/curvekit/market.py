@@ -1,8 +1,9 @@
 """Bond market data: domain types, file I/O, and synthetic scenario generation.
 
-A snapshot is one business day of data: a list of bonds (cashflow schedule,
-face value, observed dirty price) plus a near-risk-free benchmark curve, a
-``YieldCurve`` like every fitted curve: maturities in, spot yields out.
+A snapshot is one business day of data: its bonds (cashflow schedule, face
+value, observed dirty price), held by maturity, then id, whatever order a file
+lists them in, plus a near-risk-free benchmark curve, a ``YieldCurve`` like
+every fitted curve: maturities in, spot yields out.
 Snapshots round-trip through JSON and CSV, and a deterministic generator
 produces flat / rising / falling synthetic markets so every experiment can run
 without proprietary data.
@@ -149,14 +150,17 @@ class BenchmarkCurve(YieldCurve):
 
 @dataclass(frozen=True)
 class MarketSnapshot:
-    """All bonds and the benchmark curve for one business day."""
+    """All bonds and the benchmark curve for one business day.
+
+    ``bonds`` is held by maturity, then id, whatever order it is given in.
+    """
 
     date: str
     bonds: tuple[Bond, ...]
     benchmark: BenchmarkCurve
 
     def __post_init__(self):
-        object.__setattr__(self, "bonds", tuple(self.bonds))
+        object.__setattr__(self, "bonds", tuple(sorted(self.bonds, key=operator.attrgetter("maturity", "id"))))
         if not self.bonds:
             raise ValidationError("bonds non-empty: snapshot must contain at least one bond")
         ids = [b.id for b in self.bonds]
@@ -208,11 +212,6 @@ class ScenarioSpec:
         lo, hi = self.coupon_range
         if not (0 <= lo <= hi < math.inf):
             raise ValidationError(f"coupon_range must be finite with 0 <= min <= max, got {self.coupon_range}")
-
-
-def sort_bonds(bonds) -> list[Bond]:
-    """Bonds in ascending maturity order, ties broken by id."""
-    return sorted(bonds, key=lambda b: (b.maturity, b.id))
 
 
 # ---------------------------------------------------------------------------

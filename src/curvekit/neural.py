@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .evaluation import DEFAULT_TENORS, TenorGrid
-from .market import BenchmarkCurve, MarketSnapshot, sort_bonds
+from .market import BenchmarkCurve, MarketSnapshot
 from .pricing import YTM_BRACKET, YieldCurve, cashflow_schedule, yield_to_maturity
 
 _REGULARIZER_MODES = ("per_bond", "per_epoch")
@@ -278,7 +278,7 @@ def _unpack(theta: np.ndarray, h: int) -> tuple:
 
 
 def _bond_passes(snapshot: MarketSnapshot, theta, tenors=None) -> list[_Pass]:
-    """One pass per bond, in ascending maturity order (ties by id), priced per 100 of face.
+    """One pass per bond, in the snapshot's order (by maturity, then id), priced per 100 of face.
 
     Each bond's amounts and price are scaled by 100 / face, so the loss and
     the learning rate do not depend on the unit a day is quoted in; on a
@@ -287,7 +287,7 @@ def _bond_passes(snapshot: MarketSnapshot, theta, tenors=None) -> list[_Pass]:
     """
     passes = []
     with np.errstate(over="ignore"):
-        for b in sort_bonds(snapshot.bonds):
+        for b in snapshot.bonds:
             times, amounts = cashflow_schedule(b)
             scale = 100.0 / b.face_value
             passes.append(_Pass(theta, times, amounts * scale, b.market_price * scale, b.id, tenors))
@@ -352,7 +352,7 @@ def grad_total_loss(params: NnParams, snapshot: MarketSnapshot, config: TrainCon
 def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnParams:
     """Fit the network to one day of bonds by per-bond gradient steps.
 
-    Bonds are visited in ascending maturity order (ties by id); each visit
+    Bonds are visited in the snapshot's order (by maturity, then id); each visit
     takes one plain gradient step of size ``learning_rate`` on that bond's
     squared price error plus, in the default "per_bond" mode, the two
     gamma-weighted penalties. The "per_epoch" mode instead applies the
@@ -419,9 +419,8 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
                 epoch=config.epochs - 1, bond_index=len(passes) - 1,
             )
         lo, hi = YTM_BRACKET
-        bonds = sort_bonds(snapshot.bonds)
-        at_maturities = nn_yield(params, np.array([b.maturity for b in bonds])).tolist()
-        for j, (bond, y) in enumerate(zip(bonds, at_maturities)):
+        at_maturities = nn_yield(params, np.array(maturities)).tolist()
+        for j, (bond, y) in enumerate(zip(snapshot.bonds, at_maturities)):
             if not lo <= y <= hi:
                 raise DivergenceError(
                     f"training diverged: yield {y:.6g} at the maturity of bond {bond.id} "

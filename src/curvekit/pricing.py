@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolutionError, ValidationError
-from .market import Bond, MarketSnapshot, YieldCurve, sort_bonds
+from .market import Bond, MarketSnapshot, YieldCurve
 
 # Flat-rate bracket for yield solves. Present value is strictly decreasing in
 # the rate, so a sign change on this bracket guarantees a unique solution.
@@ -416,17 +416,17 @@ class BootstrapBase:
     """One day's bootstrap, kept so that each replicate of the day resumes it.
 
     A knot depends only on the knots before it and on its own bond. So a
-    replicate whose bonds, in maturity order, begin with the same bond
-    objects as the day's has the day's knots and diagnostics up to its first
-    other bond, and ``bootstrap(replicate, base)`` solves from there on,
-    bit for bit. ``marks[k]`` is the knot count and the diagnostics count
-    after the day's first ``k`` bonds. Building the base raises nothing:
-    a day whose every bond is skipped is the failure of the replicates that
-    share all of it.
+    replicate whose bonds (held, like the day's, by maturity, then id) begin
+    with the same bond objects as the day's has the day's knots and
+    diagnostics up to its first other bond, and ``bootstrap(replicate, base)``
+    solves from there on, bit for bit. ``marks[k]`` is the knot count and the
+    diagnostics count after the day's first ``k`` bonds. Building the base
+    raises nothing: a day whose every bond is skipped is the failure of the
+    replicates that share all of it.
     """
 
     def __init__(self, snapshot: MarketSnapshot):
-        self.bonds = sort_bonds(snapshot.bonds)
+        self.bonds = snapshot.bonds
         self.ts = np.empty(len(self.bonds))
         self.ys = np.empty(len(self.bonds))
         self.diagnostics: list[str] = []
@@ -439,18 +439,18 @@ class BootstrapBase:
 
 
 def bootstrap(snapshot: MarketSnapshot, base: BootstrapBase | None = None) -> BootstrapCurve:
-    """Sequential exact-fit curve: one knot per bond, shortest maturity first.
+    """Sequential exact-fit curve: one knot per bond, in the snapshot's order.
 
-    For each bond the single unknown is the yield at its maturity. Cashflows
-    before the previous knots are discounted off the fixed earlier knots;
-    cashflows between the last knot and the new maturity see the linear
-    interpolation toward the candidate knot, so the solved bond reprices
-    exactly under the final curve. When the bond pays nothing between the
-    last knot and its maturity, the knot is the closed form
-    ``ln(A / (price - F)) / T``; otherwise present value is strictly
-    decreasing in the candidate yield, solved by the safeguarded Newton
-    solve on the standard bracket from the previous knot's yield, or from
-    ``_flat_guess`` for the first knot.
+    That order is shortest maturity first, ties by id. For each bond the
+    single unknown is the yield at its maturity. Cashflows before the
+    previous knots are discounted off the fixed earlier knots; cashflows
+    between the last knot and the new maturity see the linear interpolation
+    toward the candidate knot, so the solved bond reprices exactly under the
+    final curve. When the bond pays nothing between the last knot and its
+    maturity, the knot is the closed form ``ln(A / (price - F)) / T``;
+    otherwise present value is strictly decreasing in the candidate yield,
+    solved by the safeguarded Newton solve on the standard bracket from the
+    previous knot's yield, or from ``_flat_guess`` for the first knot.
 
     Bonds that cannot be repriced inside the bracket, and bonds sharing a
     maturity with an already-placed knot, are skipped and reported in the
@@ -462,7 +462,7 @@ def bootstrap(snapshot: MarketSnapshot, base: BootstrapBase | None = None) -> Bo
     """
     if base is None:
         base = BootstrapBase(snapshot)
-    bonds = sort_bonds(snapshot.bonds)
+    bonds = snapshot.bonds
     # placed knots in [:n]; slot n holds the bond being solved and its candidate
     ts = np.empty(len(bonds))
     ys = np.empty(len(bonds))

@@ -371,6 +371,17 @@ class TestExperiments:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(workdir.glob("report.*"))
 
+    def test_key_error_in_an_adapter_escapes_main(self, workdir, monkeypatch):
+        # an unknown --bond is a ValidationError (exit 2); any other KeyError is a fault, not an argument error
+        path = generate_day(workdir, bonds=10)
+
+        def faulty(args, snapshots, estimator):
+            raise KeyError("fault")
+
+        monkeypatch.setitem(cli.ADAPTERS, "drop", faulty)
+        with pytest.raises(KeyError, match="fault"):
+            run(["experiment", "drop", str(path), "--estimators", "kr"])
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
     def test_bad_stability_threshold_exits_two_before_fitting(self, workdir, capsys, monkeypatch, threshold):
         days = [str(generate_day(workdir, name=f"d{i}.json", seed=70 + i)) for i in range(2)]

@@ -262,7 +262,7 @@ class TestPerturb:
         assert all(b >= a for a, b in zip(mads, mads[1:])), mads
 
     def test_unknown_bond_id(self, zc_snapshot):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValidationError, match="no bond with id 'NOPE'"):
             perturb_price_experiment(zc_snapshot, KR, "NOPE", [0.03])
 
     def test_bump_must_keep_price_positive(self, zc_snapshot):

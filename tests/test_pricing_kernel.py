@@ -38,7 +38,6 @@ from curvekit import (
 )
 from curvekit import market, pricing
 from curvekit.cli import main
-from curvekit.market import sort_bonds
 from curvekit.pricing import YTM_BRACKET, _PRICE_TOL_REL, cashflow_matrix, cashflow_schedule, duration_price_weights
 
 REPRICE_REL = 1e-13  # every flat yield and every bootstrap curve reprices its bonds within this share of the price
@@ -171,7 +170,7 @@ def ref_bootstrap(snapshot: MarketSnapshot) -> BootstrapCurve:
     knot_yields: list[float] = []
     diagnostics: list[str] = []
 
-    for bond in sort_bonds(snapshot.bonds):
+    for bond in snapshot.bonds:
         if knot_times and abs(bond.maturity - knot_times[-1]) <= 1e-9:
             diagnostics.append(
                 f"bond {bond.id}: maturity {bond.maturity} duplicates an existing knot; skipped"
@@ -321,7 +320,7 @@ class TestOracle:
         # candidates and both bracket ends, and at the same values as flat rates
         rng = np.random.default_rng(21)
         knot_times, knot_yields = [], []
-        for bond in sort_bonds(DAYS[day]().bonds):
+        for bond in DAYS[day]().bonds:
             if knot_times and abs(bond.maturity - knot_times[-1]) <= 1e-9:
                 continue
             times, amounts = cashflow_schedule(bond)

@@ -28,7 +28,6 @@ from curvekit import Bond, ScenarioSpec, cli, generate_scenario, kernelridge, pr
 from curvekit.cli import build_estimators, build_parser, main
 from curvekit.errors import CurveKitError
 from curvekit.evaluation import DEFAULT_TENORS, drop_bonds_experiment, loo_experiment, refit, stability_experiment
-from curvekit.market import sort_bonds
 
 REL_TOL = 1e-11
 ABS_TOL = 1e-15
@@ -95,13 +94,12 @@ def replicate_sets(day, seed=0):
     (the day's bonds, and the same bonds in reverse order)."""
     rng = np.random.default_rng(seed)
     ids = [b.id for b in day.bonds]
-    ordered = sort_bonds(day.bonds)
     picks = [ids[i] for i in rng.integers(0, len(ids), size=6)]
     return {
         "drop": [dropped(day, set(rng.choice(ids, size=count, replace=False).tolist()))
                  for count in (1, 5, 10) for _ in range(3)],
         "loo": [dropped(day, {i}) for i in picks + picks[:2]],
-        "perturb": [repriced(day, bond.id, bump) for bond in (ordered[-1], ordered[len(ordered) // 2])
+        "perturb": [repriced(day, bond_id, bump) for bond_id in (ids[-1], ids[len(ids) // 2])
                     for bump in (0.03, 0.05, 0.10)],
         "none": [dropped(day, set()), replace(day, bonds=day.bonds[::-1])],
     }
@@ -157,7 +155,7 @@ def test_a_plan_of_one_replicate_reuses_the_day(monkeypatch, name, module, step)
 
 def test_bootstrap_resumes_at_the_first_other_bond(monkeypatch):
     day = generate_scenario(ScenarioSpec(**DAYS[1]))
-    longest = sort_bonds(day.bonds)[-1].id
+    longest = day.bonds[-1].id
     reps = [day, repriced(day, longest, 0.05), dropped(day, {longest})]
     knots = counting(monkeypatch, pricing, "_place_knot")
     fits = ESTIMATORS["bootstrap"].fit_many(day, reps)
@@ -178,7 +176,7 @@ def zero_coupon(bond_id, maturity, rate=0.03):
 
 def test_duplicate_maturity_inside_the_reused_prefix():
     day = generate_scenario(ScenarioSpec(**DAYS[0]))
-    ordered = sort_bonds(day.bonds)
+    ordered = day.bonds
     twin = ordered[3]
     day = with_bond(day, Bond("B999", twin.cashflows, twin.face_value, twin.maturity, twin.market_price * 1.001))
     curve = ESTIMATORS["bootstrap"].fit(day)
@@ -191,7 +189,7 @@ def test_duplicate_maturity_inside_the_reused_prefix():
 
 def test_bond_that_no_yield_reprices():
     day = generate_scenario(ScenarioSpec(**DAYS[0]))
-    ordered = sort_bonds(day.bonds)
+    ordered = day.bonds
     bad = ordered[4].id
     day = repriced(day, bad, 2.0)  # three times its price: past every yield in YTM_BRACKET
     reps = [day, dropped(day, {bad}), dropped(day, {ordered[9].id}), dropped(day, {ordered[1].id, ordered[12].id}),
