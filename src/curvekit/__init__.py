@@ -21,7 +21,6 @@ from .evaluation import (
     BUCKET_LABELS,
     DEFAULT_TENORS,
     Estimator,
-    EvaluationReport,
     TenorGrid,
     bucket_of,
     drop_bonds_experiment,

@@ -18,9 +18,7 @@ report provenance field.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -35,19 +33,19 @@ from .evaluation import (
     BUCKET_LABELS,
     DEFAULT_HIT_RATE_THRESHOLD,
     Estimator,
-    EvaluationReport,
     TenorGrid,
     drop_bonds_experiment,
     fan_out,
     loo_experiment,
     perturb_price_experiment,
     refit,
+    report_record,
     rmse_ytm,
     stability_experiment,
     write_report,
 )
 from .kernelridge import KernelParams, KrCurve, KrLayout, fit_kr
-from .market import ScenarioSpec, generate_scenario, load_snapshot, save_snapshot
+from .market import ScenarioSpec, generate_scenario, load_snapshot, save_snapshot, write_csv, write_json
 from .neural import NnCurve, TrainConfig, nn_to_dict, train
 from .nss import NssCurve, NssFitConfig, fit_nss, nss_objective
 from .pricing import BootstrapBase, bootstrap
@@ -252,14 +250,11 @@ def cmd_fit(args) -> int:
     model_path = args.output or f"{stem}.{estimator.name}.model.json"
     samples_path = args.samples or f"{stem}.{estimator.name}.samples.csv"
     try:
-        with open(model_path, "w") as fh:
-            json.dump(model_dict(curve, snapshot), fh, indent=2)
-            fh.write("\n")
-        with open(samples_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tenor", "yield", "benchmark_yield"])
-            for t, y, rate in zip(tenors.tolist(), samples, snapshot.benchmark.yields(tenors).tolist()):
-                writer.writerow([repr(t), repr(y), repr(rate)])
+        write_json(model_path, model_dict(curve, snapshot))
+        write_csv(samples_path, ("tenor", "yield", "benchmark_yield"), [
+            [repr(t), repr(y), repr(rate)]
+            for t, y, rate in zip(tenors.tolist(), samples, snapshot.benchmark.yields(tenors).tolist())
+        ])
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -301,27 +296,27 @@ def _bucket_cells(values: dict, spec: str) -> str:
     return ", ".join(f"{bucket}: {'n/a' if value is None else format(value, spec)}" for bucket, value in values.items())
 
 
-def _perturb(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
+def _perturb(args, snapshots, estimator: Estimator) -> tuple[dict, int, str]:
     snapshot, = snapshots
     bond_id = args.bond or snapshot.bonds[-1].id
     rows = perturb_price_experiment(snapshot, estimator, bond_id, args.bumps)
     metrics, shown = _move_metrics(rows, "bump", [f"{row['bump']:g}" for row in rows])
-    report = EvaluationReport(estimator.name, "perturb", metrics, None,
-                              _provenance(args, {"bond": bond_id, "bumps": list(args.bumps)}), rows)
+    report = report_record(estimator.name, "perturb", metrics, None,
+                           _provenance(args, {"bond": bond_id, "bumps": list(args.bumps)}), rows)
     return report, sum(1 for row in rows if row["error"]), f"perturb {estimator.name} (bond {bond_id}): {shown}"
 
 
-def _drop(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
+def _drop(args, snapshots, estimator: Estimator) -> tuple[dict, int, str]:
     snapshot, = snapshots
     rows = drop_bonds_experiment(snapshot, estimator, args.counts, args.mc, seed=args.seed)
     metrics, shown = _move_metrics(rows, "drop", [row["count"] for row in rows])
     details = [{key: row[key] for key in ("count", "n_failed", "replications")} for row in rows]
-    report = EvaluationReport(estimator.name, "drop", metrics, None,
-                              _provenance(args, {"counts": list(args.counts), "mc": args.mc}), details)
+    report = report_record(estimator.name, "drop", metrics, None,
+                           _provenance(args, {"counts": list(args.counts), "mc": args.mc}), details)
     return report, sum(row["n_failed"] for row in rows), f"drop {estimator.name} ({args.mc} MC): {shown}"
 
 
-def _stability(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
+def _stability(args, snapshots, estimator: Estimator) -> tuple[dict, int, str]:
     result = stability_experiment(snapshots, estimator, threshold=args.threshold)
     day_rmse = result["day_rmse"]
     per_bucket = {
@@ -329,23 +324,23 @@ def _stability(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport,
         for bucket, hit_rate in result["hit_rate"].items()
     }
     details = [{key: list(result[key])} for key in ("day_rmse", "fixed_tenor_series", "skipped")]
-    report = EvaluationReport(estimator.name, "stability", {"hit_rate": result["hit_rate"]["Full"]}, per_bucket,
-                              _provenance(args, {"threshold": args.threshold, "days": len(snapshots)}), details)
+    report = report_record(estimator.name, "stability", {"hit_rate": result["hit_rate"]["Full"]}, per_bucket,
+                           _provenance(args, {"threshold": args.threshold, "days": len(snapshots)}), details)
     summary = (f"stability {estimator.name} over {len(snapshots)} days, "
                f"hit rate @ {args.threshold * 1e4:g} bp: {_bucket_cells(result['hit_rate'], '.0%')}")
     return report, len(result["skipped"]), summary
 
 
-def _loo(args, snapshots, estimator: Estimator) -> tuple[EvaluationReport, int, str]:
+def _loo(args, snapshots, estimator: Estimator) -> tuple[dict, int, str]:
     snapshot, = snapshots
     result = loo_experiment(snapshot, estimator, args.mc, bucket_filter=args.bucket, seed=args.seed)
     per_bucket = {
         bucket: {"rmse_ytm_loo": rmse, "count": result["counts"][bucket]}
         for bucket, rmse in result["per_bucket"].items()
     }
-    report = EvaluationReport(estimator.name, "loo", {"rmse_ytm_loo": result["per_bucket"]["Full"]}, per_bucket,
-                              _provenance(args, {"mc": args.mc, "bucket_filter": args.bucket}),
-                              list(result["replications"]))
+    report = report_record(estimator.name, "loo", {"rmse_ytm_loo": result["per_bucket"]["Full"]}, per_bucket,
+                           _provenance(args, {"mc": args.mc, "bucket_filter": args.bucket}),
+                           list(result["replications"]))
     return report, result["n_failed"], (f"loo {estimator.name} ({args.mc} MC): "
                                         f"{_bucket_cells(result['per_bucket'], '.6f')}")
 
@@ -358,7 +353,7 @@ def _scan_grid(args) -> list[tuple[tuple, Estimator]]:
     ]
 
 
-def _hyperscan(args, snapshots, grid) -> tuple[EvaluationReport, int, str]:
+def _hyperscan(args, snapshots, grid) -> tuple[dict, int, str]:
     snapshot, = snapshots
     rows, metrics, scores = [], {}, {}
     # each cell is a whole NN fit of the one day, so the cells fan out like NN replicates
@@ -380,7 +375,7 @@ def _hyperscan(args, snapshots, grid) -> tuple[EvaluationReport, int, str]:
             lines.append(f"  {epochs:>11} " + "".join(
                 f"{score:>12.6f}" if score is not None else f"{'fail':>12}" for score in cells))
     provenance = {key: list(getattr(args, key)) for key in ("lr", "epochs", "gamma1", "gamma2")}
-    report = EvaluationReport("nn", "hyperscan", metrics, None, _provenance(args, provenance), rows)
+    report = report_record("nn", "hyperscan", metrics, None, _provenance(args, provenance), rows)
     return report, sum(1 for r in rows if r["error"]), "\n".join(lines)
 
 

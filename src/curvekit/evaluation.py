@@ -5,7 +5,8 @@ distances on a fixed tenor grid (RMSE and maximum absolute difference),
 single-bond price perturbation, random bond-drop Monte Carlo, day-over-day
 stability with hit rates, and leave-one-out accuracy by maturity bucket.
 Each protocol returns the plain records (dicts, and tuples of dicts) that
-its report stores; its docstring names their keys.
+its report stores; its docstring names their keys. A report is a plain
+record too: ``report_record`` builds it, and ``write_report`` writes it.
 
 A metric evaluates a curve with one ``YieldCurve.yields`` call over its grid
 or bond maturities. ``refit`` is the one rule for what a fit is: the estimator
@@ -14,7 +15,7 @@ cannot be evaluated or scored counts as a failed fit. Every protocol fit, and
 every fit of the command line, goes through it; perturb, drop, stability and
 leave-one-out refit their replicates of one day through ``refit_many``, which
 applies that guard to each replicate and lets an estimator reuse the day's
-work (``Estimator.fit_many``). The unperturbed day that perturb and drop
+work (``Estimator.reuse``). The unperturbed day that perturb and drop
 compare against is their replicate 0; stability's days are replicates of its
 first day. Replicates of an estimator without that reuse are whole fits, and
 ``fan_out`` spreads them over the CPUs this process may use, in forked
@@ -23,21 +24,18 @@ workers, with the results of the serial loop.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import pickle
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from .errors import CurveKitError, FitFailureError, ValidationError
-from .market import Bond, MarketSnapshot
+from .market import Bond, MarketSnapshot, write_csv, write_json
 from .pricing import YieldCurve, yield_to_maturity
 
 # Standard tenor grid: 1D, 1W, 2W, then months to 21M, years to 10Y, and
@@ -112,14 +110,6 @@ class Estimator:
     fit: Callable[[MarketSnapshot], YieldCurve]
     reuse: Callable[[MarketSnapshot], Callable[[MarketSnapshot], YieldCurve]] | None = None
 
-    def fit_many(self, base: MarketSnapshot, replicates: list[MarketSnapshot]) -> list[Callable[[], YieldCurve]]:
-        """One fit per replicate of ``base``, in the replicates' order, each run when called.
-
-        Without ``reuse``, each is the replicate's own ``fit``.
-        """
-        fit = self.fit if self.reuse is None else self.reuse(base)
-        return [partial(fit, replicate) for replicate in replicates]
-
 
 Score = TypeVar("Score")
 
@@ -149,7 +139,7 @@ def refit_many(
     score: Callable[[int, YieldCurve], Score],
     stop_on_failed_first: bool = False,
 ) -> Iterator[tuple[Score | None, CurveKitError | None]]:
-    """``refit`` of each replicate of ``base`` through ``Estimator.fit_many``.
+    """``refit`` of each replicate of ``base``, through ``Estimator.reuse`` of ``base`` where there is one.
 
     Yields ``(score(i, curve), None)`` or ``(None, exc)`` for replicate i, in
     order; the one guard of ``refit`` decides each replicate's fate alone.
@@ -159,8 +149,8 @@ def refit_many(
     caller compares the others with) is the only result, and no other
     replicate is fitted after it or waited for.
     """
-    fits = estimator.fit_many(base, replicates)
-    calls = [partial(_guarded, fit, partial(score, i)) for i, fit in enumerate(fits)]
+    fit = estimator.fit if estimator.reuse is None else estimator.reuse(base)
+    calls = [partial(_guarded, partial(fit, replicate), partial(score, i)) for i, replicate in enumerate(replicates)]
     return _serial(calls) if estimator.reuse is not None else fan_out(calls, stop_on_failed_first)
 
 
@@ -190,9 +180,9 @@ def _child(write_fd: int, calls: list) -> None:
     """A forked worker: run ``calls`` and send their results back as one pickle; never returns."""
     code = 1
     try:
-        data = pickle.dumps([_attempt(call) for call in calls], pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as fh:
-            fh.write(data)
+        data = memoryview(pickle.dumps([_attempt(call) for call in calls], pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(write_fd, data):]
         code = 0
     finally:
         os._exit(code)  # neither the caller's stack nor its stdio buffers run in the child
@@ -251,8 +241,7 @@ def fan_out(calls: list[Callable[[], tuple]], stop_on_failed_first: bool = False
         for i in range(workers, len(calls), workers):
             results[i] = _attempt(calls[i])
         for pid, read_fd, share in children:
-            with open(read_fd, "rb", closefd=False) as fh:
-                received = _receive(fh.read(), len(share))
+            received = _receive(b"".join(iter(partial(os.read, read_fd, 1 << 16), b"")), len(share))
             for i, result in zip(share, received):
                 results[i] = result
         collected = True
@@ -537,59 +526,31 @@ def loo_experiment(
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvaluationReport:
-    """Metric bundle for one (experiment, estimator) pair.
+def report_record(estimator: str, experiment: str, metrics: dict, per_bucket: dict | None,
+                  provenance: dict, details: list) -> dict:
+    """The report of one (experiment, estimator) pair: a dict of the six arguments by name, in this order.
 
-    ``metrics`` holds snapshot-level values, ``per_bucket`` optional
-    bucket-resolved values, ``provenance`` echoes configuration and seeds
-    (timestamps, when present, live only here), and ``details`` carries the
-    raw experiment records for replay.
+    ``metrics`` holds snapshot-level values, ``per_bucket`` bucket-resolved ones or None, ``provenance``
+    the configuration and seeds (timestamps live only here), ``details`` the raw records for replay.
     """
-
-    estimator: str
-    experiment: str
-    metrics: dict
-    per_bucket: dict | None = None
-    provenance: dict = field(default_factory=dict)
-    details: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for name, value in self.metrics.items():
-            if value is not None and value < 0:
-                raise ValidationError(f"metric {name} must be >= 0, got {value}")
-        hr = self.metrics.get("hit_rate")
-        if hr is not None and not (0.0 <= hr <= 1.0):
-            raise ValidationError(f"hit_rate must lie in [0, 1], got {hr}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    def to_csv_rows(self) -> list[tuple]:
-        seed = self.provenance.get("seed", "")
-        rows = [
-            (self.experiment, self.estimator, "Full", name, value, seed)
-            for name, value in self.metrics.items()
-        ]
-        if self.per_bucket:
-            for bucket, metrics in self.per_bucket.items():
-                for name, value in metrics.items():
-                    rows.append((self.experiment, self.estimator, bucket, name, value, seed))
-        return rows
+    return {"estimator": estimator, "experiment": experiment, "metrics": metrics, "per_bucket": per_bucket,
+            "provenance": provenance, "details": details}
 
 
-def write_report(report: EvaluationReport, path, format: str = "json") -> None:
-    """Serialize a report as JSON, or as flat CSV with one metric per row."""
-    path = Path(path)
+def write_report(report: dict, path, format: str = "json") -> None:
+    """Write a ``report_record`` as JSON, or as flat CSV with one metric per row.
+
+    A CSV row is ``experiment, estimator, bucket, metric, value, seed``: the
+    snapshot-level metrics first, under bucket ``Full``, then each bucket's.
+    """
     if format == "json":
-        with open(path, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, report)
     elif format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["experiment", "estimator", "bucket", "metric", "value", "seed"])
-            for row in report.to_csv_rows():
-                writer.writerow(row)
+        seed = report["provenance"].get("seed", "")
+        buckets = [("Full", report["metrics"]), *(report["per_bucket"] or {}).items()]
+        write_csv(path, ("experiment", "estimator", "bucket", "metric", "value", "seed"), [
+            (report["experiment"], report["estimator"], bucket, name, value, seed)
+            for bucket, metrics in buckets for name, value in metrics.items()
+        ])
     else:
         raise ValidationError(f"format must be 'json' or 'csv', got {format!r}")

@@ -20,7 +20,10 @@ CSV: one row per bond with header ``id,face_value,maturity,market_price,cashflow
 where the cashflows cell is ``t1:a1;t2:a2;...`` (empty for zero-coupon bonds).
 The benchmark lives in a companion file ``<name>.benchmark.csv`` with header
 ``tenor,rate``. The snapshot date is carried as a leading ``# date: ...``
-comment line. All times are in years, all rates decimal per annum.
+comment line, so it holds no line break and no whitespace at either end.
+All times are in years, all rates decimal per annum. ``write_json`` (indented
+by 2, one closing newline) and ``write_csv`` (``csv.writer`` rows, every line
+in CRLF) alone decide the format of every file the command line writes.
 
 Both encodings read into the record form shown for JSON, a CSV cell as the
 text of its number, and one function validates it. Bytes that are not UTF-8,
@@ -212,6 +215,9 @@ class ScenarioSpec:
         lo, hi = self.coupon_range
         if not (0 <= lo <= hi < math.inf):
             raise ValidationError(f"coupon_range must be finite with 0 <= min <= max, got {self.coupon_range}")
+        for name in ("spread_over_benchmark", "base_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +259,30 @@ def generate_scenario(spec: ScenarioSpec, date: str | None = None) -> MarketSnap
     for i in range(1, len(maturities)):
         if maturities[i] <= maturities[i - 1] + 1e-9:
             maturities[i] = maturities[i - 1] + 1e-6
+    if maturities[0] <= 1e-9:  # a bond maturing that soon has no coupon date to price
+        raise ValidationError(f"maturity_range {spec.maturity_range} drew {float(maturities[0])!r}; must exceed 1e-9")
 
     coupon_rates = rng.uniform(spec.coupon_range[0], spec.coupon_range[1], size=spec.n_bonds)
     noise = rng.normal(0.0, spec.price_noise_sd, size=spec.n_bonds) if spec.price_noise_sd > 0 else np.zeros(spec.n_bonds)
 
-    benchmark = BenchmarkCurve(_BENCHMARK_TENORS, benchmark_rate(spec.regime, spec.base_rate, _BENCHMARK_TENORS))
-
     face = 100.0
     width = max(3, len(str(spec.n_bonds)))
     bonds = []
-    for i, (mat, cpn_rate, eps) in enumerate(zip(maturities, coupon_rates, noise)):
-        times = _annual_coupon_times(float(mat))
-        amount = cpn_rate * face
-        cashflows = tuple(Cashflow(float(t), float(amount)) for t in times) if amount > 0 else ()
-        # Price off the interpolated benchmark plus a constant spread; the last
-        # coupon date is the maturity.
-        yields = benchmark.yields(times) + spec.spread_over_benchmark
-        pv = float(np.sum(amount * np.exp(-times * yields))) + face * math.exp(-float(mat) * float(yields[-1]))
-        price = pv * (1.0 + float(eps))
-        bonds.append(Bond(f"B{i + 1:0{width}d}", cashflows, face, float(mat), price))
+    try:  # a float that overflows is an error here, where numpy would warn and go on with inf
+        with np.errstate(over="raise", invalid="raise"):
+            rates = benchmark_rate(spec.regime, spec.base_rate, _BENCHMARK_TENORS)
+            benchmark = BenchmarkCurve(_BENCHMARK_TENORS, rates)
+            for i, (mat, cpn_rate, eps) in enumerate(zip(maturities, coupon_rates, noise)):
+                times = _annual_coupon_times(float(mat))
+                amount = cpn_rate * face
+                cashflows = tuple(Cashflow(float(t), float(amount)) for t in times) if amount > 0 else ()
+                # priced off the benchmark plus a constant spread; the last coupon date is the maturity
+                yields = benchmark.yields(times) + spec.spread_over_benchmark
+                pv = float(np.sum(amount * np.exp(-times * yields))) + face * math.exp(-float(mat) * float(yields[-1]))
+                price = pv * (1.0 + float(eps))
+                bonds.append(Bond(f"B{i + 1:0{width}d}", cashflows, face, float(mat), price))
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValidationError(f"prices overflow ({exc}): check coupon_range, spread_over_benchmark and base_rate")
 
     label = date if date is not None else f"synthetic-{spec.regime}-{spec.seed}"
     return MarketSnapshot(date=label, bonds=tuple(bonds), benchmark=benchmark)
@@ -376,30 +387,42 @@ def _cashflow_records(cell: str) -> list[dict]:
     return [{"time": t, "amount": a} for t, _, a in map(str.partition, segments, repeat(":"))]
 
 
+def write_json(path, record) -> None:
+    """Write ``record`` to ``path`` as JSON indented by 2, ending in one newline."""
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write ``header`` and ``rows`` through ``csv.writer`` after a ``# comment`` line if given, every line in CRLF."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\r\n")
+        csv.writer(fh).writerows([header, *rows])
+
+
 def save_snapshot(snapshot: MarketSnapshot, path, format: str = "json") -> None:
     """Write ``snapshot`` to ``path`` in the given format (``json`` or ``csv``).
 
-    CSV writes the benchmark to the companion file ``<name>.benchmark.csv``.
-    Floats are written with full repr precision, so a load after save
-    reproduces the snapshot exactly.
+    CSV writes the benchmark to the companion file ``<name>.benchmark.csv``,
+    and refuses a date its ``# date:`` line would not read back as before it
+    writes anything. Floats are written with full repr precision, so a load
+    after save reproduces the snapshot exactly.
     """
     path = Path(path)
     if format == "json":
-        with open(path, "w") as fh:
-            json.dump(_snapshot_to_dict(snapshot), fh, indent=2)
-            fh.write("\n")
+        write_json(path, _snapshot_to_dict(snapshot))
     elif format == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# date: {snapshot.date}\r\n")   # csv.writer ends its rows in CRLF too
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for b in snapshot.bonds:
-                writer.writerow([b.id, repr(b.face_value), repr(b.maturity), repr(b.market_price), _format_cashflows(b)])
-        with open(_benchmark_path(path), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tenor", "rate"])
-            for t, r in zip(snapshot.benchmark.tenors, snapshot.benchmark.rates):
-                writer.writerow([repr(t), repr(r)])
+        date = snapshot.date
+        if "\n" in date or "\r" in date or date != date.strip():
+            raise ValidationError(f"a CSV date must hold no line break and no whitespace at either end, got {date!r}")
+        write_csv(path, _CSV_HEADER, [
+            [b.id, repr(b.face_value), repr(b.maturity), repr(b.market_price), _format_cashflows(b)]
+            for b in snapshot.bonds
+        ], comment=f"date: {date}")
+        write_csv(_benchmark_path(path), ("tenor", "rate"),
+                  [[repr(t), repr(r)] for t, r in zip(snapshot.benchmark.tenors, snapshot.benchmark.rates)])
     else:
         raise ValidationError(f"format must be 'json' or 'csv', got {format!r}")
 

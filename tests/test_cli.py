@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,24 @@ class TestGenerate:
     def test_negative_seed_exits_two(self, workdir, capsys):
         assert run(["generate", "--regime", "flat", "--seed", "-1", "-o", "x.json"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--spread", "-100"), "overflow"),
+        (("--base-rate", "-100"), "overflow"),
+        (("--maturity-range", "1e-300,1e-299"), "must exceed 1e-9"),
+        (("--coupon-range", "0,1e308"), "overflow"),
+        (("--spread", "nan"), "spread_over_benchmark must be finite"),
+        (("--base-rate", "inf"), "base_rate must be finite"),
+        (("--format", "csv", "--date", "a\nb,c"), "date"),
+        (("--format", "csv", "--date", " padded "), "date"),
+    ])
+    def test_out_of_range_day_exits_two_with_one_line_and_writes_nothing(self, workdir, capsys, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would leak to the terminal
+            assert run(["generate", "--regime", "falling", *flags, "-o", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert list(workdir.iterdir()) == []
 
     def test_csv_format(self, workdir):
         generate_day(workdir, name="day.csv", extra=("--format", "csv"))
@@ -309,13 +328,27 @@ class TestExperiments:
         assert lines[0] == "experiment,estimator,bucket,metric,value,seed"
 
     def test_every_csv_output_ends_its_lines_in_crlf(self, workdir):
+        # and every JSON output is indented by 2 and ends in one newline; the CLI golden re-reads
+        # both formats before it compares them, so it cannot see either
+        generate_day(workdir, name="day.json", bonds=10)
         path = generate_day(workdir, name="day.csv", bonds=10, extra=("--format", "csv"))
-        assert run(["fit", str(path), "--estimator", "bootstrap"]) == 0
+        for estimator in ("bootstrap", "kr"):
+            assert run(["fit", str(path), "--estimator", estimator]) == 0
         assert run(["experiment", "perturb", str(path), "--estimators", "kr", "-o", "rep", "--format", "csv"]) == 0
-        for name in ("day.csv", "day.benchmark.csv", "day.bootstrap.samples.csv", "rep.perturb.kr.csv"):
-            lines = (workdir / name).read_bytes().splitlines(keepends=True)
-            assert len(lines) > 1
-            assert [line for line in lines if not line.endswith(b"\r\n")] == [], name
+        assert run(["experiment", "loo", str(path), "--estimators", "kr", "--mc", "2", "-o", "rep"]) == 0
+        written = sorted(p.name for p in workdir.iterdir())
+        assert written == sorted(["day.json", "day.csv", "day.benchmark.csv", "rep.perturb.kr.csv", "rep.loo.kr.json",
+                                  *(f"day.{e}.{kind}" for e in ("bootstrap", "kr")
+                                    for kind in ("model.json", "samples.csv"))])
+        for name in written:
+            data = (workdir / name).read_bytes()
+            if name.endswith(".csv"):
+                lines = data.splitlines(keepends=True)
+                assert len(lines) > 1
+                assert [line for line in lines if not line.endswith(b"\r\n")] == [], name
+            else:
+                text = data.decode()
+                assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
     def test_hyperscan_grid(self, workdir, capsys):
         path = generate_day(workdir, bonds=8)

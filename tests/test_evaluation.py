@@ -8,7 +8,6 @@ import pytest
 from curvekit import (
     Bond,
     Estimator,
-    EvaluationReport,
     FitFailureError,
     FlatCurve,
     InvalidDiscountError,
@@ -35,7 +34,7 @@ from curvekit import (
     yield_to_maturity,
 )
 from curvekit.cli import ESTIMATOR_NAMES, build_estimators, build_parser
-from curvekit.evaluation import BUCKET_LABELS, curve_yields, refit
+from curvekit.evaluation import BUCKET_LABELS, curve_yields, refit, report_record
 from curvekit.pricing import YieldCurve
 
 GRID = TenorGrid()
@@ -455,19 +454,14 @@ class TestRecords:
 
 
 class TestReports:
-    def test_metric_validation(self):
-        with pytest.raises(ValidationError):
-            EvaluationReport(estimator="kr", experiment="x", metrics={"rmse": -1.0})
-        with pytest.raises(ValidationError):
-            EvaluationReport(estimator="kr", experiment="x", metrics={"hit_rate": 1.5})
-
     def test_round_trip_files(self, tmp_path):
-        report = EvaluationReport(
+        report = report_record(
             estimator="kr",
             experiment="drop",
             metrics={"rmse_curve[drop=1]": 0.0012, "hit_rate": 0.9},
             per_bucket={"<2Y": {"rmse_curve": 0.001}},
             provenance={"seed": 7},
+            details=[],
         )
         jpath = tmp_path / "r.json"
         cpath = tmp_path / "r.csv"
@@ -476,6 +470,7 @@ class TestReports:
         import json
 
         data = json.loads(jpath.read_text())
+        assert list(data) == ["estimator", "experiment", "metrics", "per_bucket", "provenance", "details"]
         assert data["metrics"]["hit_rate"] == 0.9
         lines = cpath.read_text().splitlines()
         assert lines[0] == "experiment,estimator,bucket,metric,value,seed"

@@ -213,6 +213,10 @@ HYPERSCAN = COMMANDS["hyperscan"][0]
 @example(case=([*GENERATE, "--coupon-range=nan,nan"], None))
 @example(case=([*GENERATE, "--maturity-range=0.1,inf"], None))
 @example(case=([*GENERATE, "--maturity-range=0.1,1e308"], None))
+@example(case=([*GENERATE, "--spread=-100"], None))  # the discount factors overflow
+@example(case=([*GENERATE, "--base-rate=-100"], None))
+@example(case=([*GENERATE, "--maturity-range=1e-300,1e-299"], None))  # a bond without a coupon date
+@example(case=([*GENERATE, "--coupon-range=0,1e308"], None))  # the coupon amount overflows
 @example(case=(FIT_BOOTSTRAP, ("csv-drop-cell", "day.benchmark.csv", 3, 1)))  # a companion row of one cell
 @example(case=(FIT_BOOTSTRAP, ("bytes", "day.json", 0, b"\xff\xfe")))
 @example(case=(FIT_BOOTSTRAP, ("bytes", "day.csv", 0, b"\xff\xfe")))

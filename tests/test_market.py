@@ -90,6 +90,9 @@ class TestTypeInvariants:
         for sd in (math.nan, math.inf):
             with pytest.raises(ValidationError, match="price_noise_sd must be finite"):
                 ScenarioSpec(regime="flat", price_noise_sd=sd)
+        for field, value in itertools.product(("spread_over_benchmark", "base_rate"), (math.nan, math.inf, -math.inf)):
+            with pytest.raises(ValidationError, match=f"{field} must be finite"):
+                ScenarioSpec(regime="flat", **{field: value})
         for maturity_range in ((0.0, 1.0), (0.1, math.nan), (math.nan, 1.0), (0.1, math.inf), (0.1, 1e308),
                                (0.1, MAX_MATURITY * (1 + 1e-15))):
             with pytest.raises(ValidationError, match="maturity_range must satisfy"):
@@ -110,6 +113,20 @@ class TestRoundTrip:
         assert back.date == snap.date
         assert back.benchmark == snap.benchmark
         assert back == snap  # dataclass equality: every float identical
+
+    @pytest.mark.parametrize("date", ["a\nb,c", "a\rb", "a\r\n", " padded ", "padded\t", "\u2028padded"])
+    def test_csv_refuses_a_date_its_date_line_would_not_read_back_as(self, tmp_path, date):
+        snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=3, seed=0), date=date)
+        with pytest.raises(ValidationError, match="date"):
+            save_snapshot(snap, tmp_path / "day.csv", format="csv")
+        assert list(tmp_path.iterdir()) == []
+        save_snapshot(snap, tmp_path / "day.json")
+        assert load_snapshot(tmp_path / "day.json") == snap
+
+    def test_csv_keeps_a_date_with_inner_whitespace(self, tmp_path):
+        snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=3, seed=0), date="2024-01-02 close")
+        save_snapshot(snap, tmp_path / "day.csv", format="csv")
+        assert load_snapshot(tmp_path / "day.csv") == snap
 
     def test_zero_coupon_round_trip_csv(self, tmp_path, zc_snapshot):
         path = tmp_path / "zc.csv"

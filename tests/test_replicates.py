@@ -3,7 +3,7 @@
 KR slices each replicate's rows of C and its principal submatrix of the
 day's Gram matrix ``C K C'``, and the bootstrap resumes the day's knots at a
 replicate's first other bond; stability fits its days as replicates of the
-first. Every replicate fitted through ``Estimator.fit_many`` must equal the
+first. Every replicate fitted through ``refit_many`` must equal the
 replicate's own fit, or fail with the same error. The bootstrap's curves
 equal them in every float, and so do KR's anchors, alphas and lambda, which
 fix the curve: each entry of ``G`` sums over its two bonds' own cashflows
@@ -27,7 +27,14 @@ import pytest
 from curvekit import Bond, ScenarioSpec, cli, generate_scenario, kernelridge, pricing, yield_to_maturity
 from curvekit.cli import build_estimators, build_parser, main
 from curvekit.errors import CurveKitError
-from curvekit.evaluation import DEFAULT_TENORS, drop_bonds_experiment, loo_experiment, refit, stability_experiment
+from curvekit.evaluation import (
+    DEFAULT_TENORS,
+    drop_bonds_experiment,
+    loo_experiment,
+    refit,
+    refit_many,
+    stability_experiment,
+)
 
 REL_TOL = 1e-11
 ABS_TOL = 1e-15
@@ -73,8 +80,21 @@ def assert_same(got, want):
             assert g[1] == w[1]
 
 
+def replicate_fits(estimator, day, replicates):
+    """One fit per replicate through ``refit_many``: call i returns replicate i's curve or raises its error."""
+    results = refit_many(estimator, day, replicates, lambda _, curve: curve)
+
+    def fit():
+        curve, exc = next(results)
+        if exc is not None:
+            raise exc
+        return curve
+
+    return [fit] * len(replicates)
+
+
 def assert_own_fits(estimator, day, replicates):
-    assert_same([outcome(fit) for fit in estimator.fit_many(day, replicates)],
+    assert_same([outcome(fit) for fit in replicate_fits(estimator, day, replicates)],
                 [outcome(lambda r=r: estimator.fit(r)) for r in replicates])
 
 
@@ -144,7 +164,7 @@ def test_a_plan_of_one_replicate_reuses_the_day(monkeypatch, name, module, step)
     replicate = replicate_sets(day)["loo"][0]
     calls = counting(monkeypatch, module, step)
     grams = counting(monkeypatch, kernelridge, "_gram")
-    [fit] = ESTIMATORS[name].fit_many(day, [replicate])
+    [fit] = replicate_fits(ESTIMATORS[name], day, [replicate])
     prepared = len(calls)  # the day's knots, or the day's layout
     batched = outcome(fit)
     assert prepared == (len(day.bonds) if name == "bootstrap" else 1)
@@ -158,7 +178,7 @@ def test_bootstrap_resumes_at_the_first_other_bond(monkeypatch):
     longest = day.bonds[-1].id
     reps = [day, repriced(day, longest, 0.05), dropped(day, {longest})]
     knots = counting(monkeypatch, pricing, "_place_knot")
-    fits = ESTIMATORS["bootstrap"].fit_many(day, reps)
+    fits = replicate_fits(ESTIMATORS["bootstrap"], day, reps)
     assert len(knots) == len(day.bonds)  # the day's own solve
     for fit, placed in zip(fits, (0, 1, 0)):
         before = len(knots)
@@ -196,9 +216,9 @@ def test_bond_that_no_yield_reprices():
             repriced(day, ordered[-1].id, 0.03)]
     for name in ("bootstrap", "kr"):
         assert_own_fits(ESTIMATORS[name], day, reps)
-    boot = [outcome(fit) for fit in ESTIMATORS["bootstrap"].fit_many(day, reps)]
+    boot = [outcome(fit) for fit in replicate_fits(ESTIMATORS["bootstrap"], day, reps)]
     assert all(any(f"bond {bad}: no yield" in d for d in o[1]) for o, r in zip(boot, reps) if r is not reps[1])
-    kr = [outcome(fit) for fit in ESTIMATORS["kr"].fit_many(day, reps)]
+    kr = [outcome(fit) for fit in replicate_fits(ESTIMATORS["kr"], day, reps)]
     assert kr[0][0] == "NoSolutionError" and kr[1][0] != "NoSolutionError"
 
 
@@ -206,7 +226,7 @@ def test_every_bond_skipped_fails_each_replicate_alone():
     day = generate_scenario(ScenarioSpec(**DAYS[0]))
     day = replace(day, bonds=(replace(b, market_price=b.market_price * 10.0) for b in day.bonds))
     reps = [day, dropped(day, {day.bonds[0].id})]
-    fits = ESTIMATORS["bootstrap"].fit_many(day, reps)  # the day's failure does not escape
+    fits = replicate_fits(ESTIMATORS["bootstrap"], day, reps)  # the day's failure does not escape
     results = [outcome(fit) for fit in fits]
     assert [r[0] for r in results] == ["NoSolutionError", "NoSolutionError"]
     assert results == [outcome(lambda r=r: ESTIMATORS["bootstrap"].fit(r)) for r in reps]
@@ -235,7 +255,7 @@ def test_a_kernel_that_overflows_only_at_the_longest_bond(monkeypatch):
     kr = estimators("--kr-b", repr(1.0 / m**2))["kr"]
     reps = [dropped(day, {bond.id}) for bond in day.bonds]
     layouts = counting(monkeypatch, kernelridge, "cashflow_matrix")
-    outcomes = [outcome(fit) for fit in kr.fit_many(day, [day, *reps])]
+    outcomes = [outcome(fit) for fit in replicate_fits(kr, day, [day, *reps])]
     # the day's G is not finite, yet every replicate is sliced from its layout
     assert len(layouts) == 1
     assert_same(outcomes, [outcome(lambda r=r: kr.fit(r)) for r in [day, *reps]])
