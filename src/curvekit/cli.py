@@ -345,20 +345,47 @@ def _loo(args, snapshots, estimator: Estimator) -> tuple[dict, int, str]:
                                         f"{_bucket_cells(result['per_bucket'], '.6f')}")
 
 
-def _scan_grid(args) -> list[tuple[tuple, Estimator]]:
-    """Hyperscan's grid as ((gamma1, gamma2, epochs, lr), NN estimator) pairs, in report order."""
+def _scan_grid(args) -> list[tuple[tuple, TrainConfig]]:
+    """Hyperscan's grid as ((gamma1, gamma2, epochs, lr), NN training config) pairs, in report order."""
     return [
-        ((g1, g2, epochs, lr), Estimator("nn", _nn_fit(_train_config(args, lr, epochs, g1, g2))))
+        ((g1, g2, epochs, lr), _train_config(args, lr, epochs, g1, g2))
         for g1, g2, epochs, lr in itertools.product(args.gamma1, args.gamma2, args.epochs, args.lr)
     ]
+
+
+def _scan_cells(snapshot, configs: list[TrainConfig]) -> tuple[list[tuple], None]:
+    """The ``(rmse_ytm, None)`` or ``(None, exc)`` of each cell of one (gamma1, gamma2, lr), from one training.
+
+    The cells differ in their epoch count alone, so one ``train`` to the
+    largest count keeps the weights at each cell's own (``checkpoints``), and
+    each cell's outcome is its own fit's, scored under ``refit``'s guard. The
+    list is this call's result for ``fan_out``: the call itself never fails.
+    """
+    try:
+        trained = train(snapshot, max(configs, key=lambda c: c.epochs), checkpoints=[c.epochs for c in configs])
+    except CurveKitError as exc:  # raised before the first epoch, so every cell's own fit raises it
+        trained = [exc] * len(configs)
+
+    def scored(outcome):
+        if isinstance(outcome, CurveKitError):
+            return None, outcome
+        return refit(Estimator("nn", lambda _: NnCurve(outcome)), snapshot, lambda curve: rmse_ytm(curve, snapshot))
+
+    return [scored(outcome) for outcome in trained], None
 
 
 def _hyperscan(args, snapshots, grid) -> tuple[dict, int, str]:
     snapshot, = snapshots
     rows, metrics, scores = [], {}, {}
-    # each cell is a whole NN fit of the one day, so the cells fan out like NN replicates
-    results = fan_out([partial(refit, estimator, snapshot, lambda curve: rmse_ytm(curve, snapshot))
-                       for _, estimator in grid])
+    # the cells of one (gamma1, gamma2, lr) share one training, and these whole NN fits fan out like NN replicates
+    groups: dict[tuple, list[int]] = {}
+    for i, ((g1, g2, _, lr), _) in enumerate(grid):
+        groups.setdefault((g1, g2, lr), []).append(i)
+    results = [None] * len(grid)
+    calls = [partial(_scan_cells, snapshot, [grid[i][1] for i in cells]) for cells in groups.values()]
+    for cells, (pairs, _) in zip(groups.values(), fan_out(calls)):
+        for i, pair in zip(cells, pairs):
+            results[i] = pair
     for ((g1, g2, epochs, lr), _), (score, exc) in zip(grid, results):
         err = None if exc is None else str(exc)
         rows.append({"lr": lr, "epochs": epochs, "gamma1": g1, "gamma2": g2, "rmse_ytm": score, "error": err})
@@ -393,7 +420,7 @@ def cmd_experiment(args) -> int:
     reports, n_failed = [], 0
     try:
         if kind == "hyperscan":
-            # hyperscan sweeps the NN alone; its one "estimator" is the grid of NN estimators
+            # hyperscan sweeps the NN alone; its one "estimator" is the grid of NN training configs
             selected = [("nn", _scan_grid(args))]
         else:
             selected = [(est.name, est) for est, _ in build_estimators(args, _parse_estimators(args.estimators))]

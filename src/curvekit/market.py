@@ -38,6 +38,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -57,6 +58,13 @@ MAX_MATURITY = 100.0
 
 # Tenors used for generated benchmark curves; span the evaluation grid.
 _BENCHMARK_TENORS = (1 / 365, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0)
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int, if it is an integer >= 1; a float or a bool is no count, as in ``_number``."""
+    if value.__class__ is bool or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,6 +288,10 @@ def generate_scenario(spec: ScenarioSpec, date: str | None = None) -> MarketSnap
                 yields = benchmark.yields(times) + spec.spread_over_benchmark
                 pv = float(np.sum(amount * np.exp(-times * yields))) + face * math.exp(-float(mat) * float(yields[-1]))
                 price = pv * (1.0 + float(eps))
+                if not price > 0:  # the spec is at fault, not the bond: name what to change
+                    raise ValidationError(
+                        f"prices underflow to {pv!r}: check spread_over_benchmark and base_rate" if not pv > 0
+                        else f"price noise drew a price of {price!r}: check price_noise_sd")
                 bonds.append(Bond(f"B{i + 1:0{width}d}", cashflows, face, float(mat), price))
     except (FloatingPointError, OverflowError) as exc:
         raise ValidationError(f"prices overflow ({exc}): check coupon_range, spread_over_benchmark and base_rate")

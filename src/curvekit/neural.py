@@ -17,18 +17,27 @@ to the lower index). Everything is deterministic given the seed.
 Every step, whatever its kind (a bond's price error alone, the price error
 with the per-bond penalties, or the per-epoch penalty on its own), is one
 formulation over the packed weights theta = [w | b | v | c] and the
-concatenated inputs ``[cashflow times | grid tenors]``. One matmul of
-``[w | b]`` against ``[inputs; 1]`` and one ``tanh`` fill a (3H + 1, n + G)
-table of dy/dw, dy/db, dy/dv and dy/dc, whose last row is 1 on the cashflow
-times and 0 on the grid (c moves the price; the penalties see slopes alone,
-and c cancels in a slope). One matvec of ``[v | c]`` against the table's last
-H + 1 rows gives y at every input. The step then writes d loss / d y at each
-input into one weight vector, times a scale: ``2 err (-t disc)`` on the
-cashflow times and, on the grid, the finite difference of
-``(gamma1 s [i = argmax] + gamma2 sign(e) / G) / dt``. One matmul of the
-table against that vector is the scaled gradient. Training scales by the
+concatenated inputs ``[cashflow times | grid tenors]``: a function that
+``_stepper`` builds once per pass, with every array it uses bound then.
+One matmul of ``[w | b]`` against ``[inputs; 1]`` and one ``tanh`` fill a
+(3H + 1, n + G) table of sech^2 u, sech^2, tanh (= dy/dv) and dy/dc, whose
+last row is 1 on the cashflow times and 0 on the grid (c moves the price; the
+penalties see slopes alone, and c cancels in a slope). The inputs are tiled
+to (H, n + G) once, so no step broadcasts over the table. One matvec of
+``[v | c]`` against the table's last H + 1 rows gives y at every input, and
+one product of the grid's part of y with a fixed difference matrix its
+slopes. The step then writes d loss / d y at each input into one weight
+vector, times a scale: ``2 err (-t disc)`` on the cashflow times and, on the
+grid, the finite difference of ``(gamma1 s [i = argmax] + gamma2 sign(e) / G)
+/ dt``. One matmul of the table against that vector, with v applied to its
+2H entries for w and b, is the scaled gradient. Training scales by the
 learning rate, so its update is one in-place subtract; ``grad_loss_*`` and
 ``total_loss`` run the same step at scale 1.
+
+A training's first E epochs are the training of E epochs: ``train`` reads
+its epoch count only as its loop bound and in its messages. So one training
+to the largest of several counts serves them all (``checkpoints``), as
+hyperscan's cells of one (gamma1, gamma2, learning rate) do.
 
 Training chains tens of thousands of tiny steps, so a last-bit change in a
 step (another summation order, another SIMD path) moves the trained weights.
@@ -42,13 +51,14 @@ bits on every run.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import CurveKitError, DivergenceError, ValidationError
 from .evaluation import DEFAULT_TENORS, TenorGrid
-from .market import BenchmarkCurve, MarketSnapshot
+from .market import BenchmarkCurve, MarketSnapshot, check_count
 from .pricing import YTM_BRACKET, YieldCurve, cashflow_schedule, yield_to_maturity
 
 _REGULARIZER_MODES = ("per_bond", "per_epoch")
@@ -94,13 +104,11 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 < self.learning_rate < math.inf):
             raise ValidationError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
+        object.__setattr__(self, "epochs", check_count("epochs", self.epochs))
         if not (0 <= self.gamma1 < math.inf and 0 <= self.gamma2 < math.inf):
             raise ValidationError(f"gamma1 and gamma2 must be finite and >= 0, got {self.gamma1}, {self.gamma2}")
         object.__setattr__(self, "grid", TenorGrid(self.grid).tenors)
-        if self.hidden_count < 1:
-            raise ValidationError("hidden_count must be >= 1")
+        object.__setattr__(self, "hidden_count", check_count("hidden_count", self.hidden_count))
         if not (0 <= self.init_scale < math.inf):
             raise ValidationError(f"init_scale must be finite and >= 0, got {self.init_scale}")
         if self.init_scale == 0:
@@ -137,131 +145,127 @@ class NnCurve(YieldCurve):
 
 
 class _Pass:
-    """One step of the network ``theta`` over the inputs ``[cashflow times | grid tenors]``.
+    """The inputs of one step of the network ``theta``: a bond's cashflows, a tenor grid, or both.
 
-    The pass reads the packed weights theta = [w | b | v | c] through views
-    taken when it is built, so each step sees ``theta`` as updated in place.
-    ``U`` (2, n + G) is ``[inputs; 1]``. After ``_forward``, the table ``T``
-    (3H + 1, n + G) holds dy/dw, dy/db, dy/dv (= tanh) and dy/dc of the
-    network output at every input, and ``y`` (n + G) the output itself. The
-    dy/dc row is set once: 1 on the n cashflow times and 0 on the G grid
-    tenors, so c reaches the price alone. A step writes d loss / d y, times
-    its scale, into ``weights``: ``2 err d price / d y`` on the cashflow times
-    and the penalty's weight on the grid tenors (``_penalty``). A pass without
-    a bond (n = 0) serves the grid alone; one without a grid (G = 0) serves
-    the price alone.
+    ``theta`` is the packed weight vector [w | b | v | c] that training
+    updates in place; the step reads it through views. The inputs are the
+    bond's cashflow times (n of them, with their ``amounts`` and the bond's
+    ``price``) and then the grid ``tenors`` (G of them). A pass without a bond
+    (n = 0) serves the grid alone; one without a grid (G = 0) serves the
+    price alone.
     """
 
-    __slots__ = ("id", "price", "n", "wb", "v", "vc", "U", "inputs", "T", "dw", "db", "th", "vc_rows", "neg_times",
-                 "neg_flows", "amounts", "y", "y_price", "y_hi", "y_lo", "disc", "weights", "w_price", "w_grid",
-                 "slopes", "gap", "q_pad", "q")
+    __slots__ = ("theta", "times", "amounts", "price", "id", "tenors")
 
     def __init__(self, theta, times, amounts=None, price=None, bond_id=None, tenors=None):
-        h, n = len(theta) // 3, len(times)
-        g = 0 if tenors is None else len(tenors)
-        self.id, self.price, self.n, self.amounts = bond_id, price, n, amounts
-        self.wb, self.v, self.vc = theta[:2 * h].reshape(2, h).T, theta[2 * h:3 * h, None], theta[2 * h:]
-        self.U = np.stack([np.concatenate([times, tenors if g else np.empty(0)]), np.ones(n + g)])
-        self.inputs = self.U[0]
-        self.T = np.zeros((3 * h + 1, n + g))
-        self.T[3 * h, :n] = 1.0    # dy/dc
-        self.dw, self.db, self.th, self.vc_rows = self.T[:h], self.T[h:2 * h], self.T[2 * h:3 * h], self.T[2 * h:]
-        self.neg_times = -times
-        self.neg_flows = self.neg_times * amounts if n else None    # -t * amount
-        self.y = np.empty(n + g)
-        self.y_price, self.y_hi, self.y_lo = self.y[:n], self.y[n + 1:], self.y[n:-1]
-        self.disc = np.empty(n)
-        self.weights = np.empty(n + g)
-        self.w_price, self.w_grid = self.weights[:n], self.weights[n:]
-        self.slopes = np.empty(max(g - 1, 0))
-        self.gap = np.empty(max(g - 1, 0))
-        self.q_pad = np.zeros(g + 1)     # [0 | q | 0]
-        self.q = self.q_pad[1:-1]
+        self.theta, self.times, self.amounts, self.price, self.id = theta, times, amounts, price, bond_id
+        self.tenors = np.empty(0) if tenors is None else tenors
 
 
 class _Penalty:
     """``gamma1 * L_smooth + gamma2 * L_trend`` over one tenor grid.
 
-    A slope's sign times its scale is the ``q_i`` of ``_penalty``:
-    ``trend_scale`` is scale gamma2 / (G dt_i) for every slope gap and
+    ``diff`` is the (G, G - 1) matrix that maps the curve at the G tenors to
+    its G - 1 slopes. A slope's sign times its scale is the ``q_i`` of the
+    step: ``trend_scale`` is scale gamma2 / (G dt_i) for every slope gap and
     ``smooth_scale`` scale gamma1 / dt_i for the steepest slope, where scale
     is the step's (the learning rate in ``train``, 1 for a gradient).
     """
 
-    __slots__ = ("tenors", "dt", "gamma1", "gamma2", "n_grid", "bench_slopes", "trend_scale", "smooth_scale")
+    __slots__ = ("tenors", "diff", "gamma1", "gamma2", "n_grid", "bench_slopes", "trend_scale", "smooth_scale")
 
     def __init__(self, tenors, gamma1, gamma2, benchmark=None, scale=1.0):
-        self.tenors, self.dt = tenors, np.diff(tenors)
+        dt, k = np.diff(tenors), np.arange(len(tenors) - 1)
+        self.tenors, self.diff = tenors, np.zeros((len(tenors), len(dt)))
+        self.diff[k, k], self.diff[k + 1, k] = -1.0 / dt, 1.0 / dt
         self.gamma1, self.gamma2, self.n_grid = gamma1, gamma2, len(tenors)
         self.bench_slopes = _benchmark_slopes(benchmark, tenors) if gamma2 else None
-        self.trend_scale = scale * gamma2 / self.n_grid / self.dt
-        self.smooth_scale = (scale * gamma1 / self.dt).tolist()
+        self.trend_scale = scale * gamma2 / self.n_grid / dt
+        self.smooth_scale = (scale * gamma1 / dt).tolist()
 
 
-def _forward(p: _Pass) -> None:
-    """Fill ``p.T`` and ``p.y`` at the pass's theta."""
-    th, db = p.th, p.db
-    p.wb.dot(p.U, out=th)                        # w u + b
-    np.tanh(th, out=th)
-    np.multiply(th, th, out=db)
-    np.subtract(1.0, db, out=db)
-    np.multiply(db, p.v, out=db)                 # v sech^2
-    np.multiply(db, p.inputs, out=p.dw)          # v sech^2 u
-    p.vc.dot(p.vc_rows, out=p.y)                 # v tanh + c on the price inputs
+def _stepper(p: _Pass, pen: _Penalty | None, grad: np.ndarray, scale: float) -> Callable[[], float]:
+    """The step of pass ``p``: a function returning its loss at ``p.theta`` that writes its gradient into ``grad``.
 
-
-def _penalty(p: _Pass, pen: _Penalty) -> float:
-    """Penalty value at the grid outputs of ``p``; writes its scaled d / d y into ``p.w_grid``.
-
-    With ``q_i`` = (d penalty / d slope_i) / dt_i, the weight on output j is
-    ``q_{j-1} - q_j`` (``q`` is zero-padded at both ends). The max in
-    L_smooth uses the standard subgradient: only the argmax slope
-    contributes, ties to the lower index.
+    The loss, returned unscaled, is the squared price error of the pass's
+    bond (if it has one) plus ``pen`` at its grid (if it has one). The
+    gradient in theta = [w | b | v | c] is written times ``scale``, which
+    ``pen`` carries in its ``trend_scale`` and ``smooth_scale``. The step is
+    the formulation of the module docstring, and every array it uses is bound
+    here once: the views of ``theta``, the inputs tiled to (H, n + G) for the
+    sech^2 u rows, and the [w | b] entries of ``grad`` as (2, H), which take
+    their factor v after the product. On the grid, ``q_i`` = (d penalty /
+    d slope_i) / dt_i, zero-padded at both ends, puts ``q_{j-1} - q_j`` on
+    tenor j; the max in L_smooth uses the standard subgradient: only the
+    argmax slope contributes, ties to the lower index.
     """
-    slopes, q = p.slopes, p.q
-    np.subtract(p.y_hi, p.y_lo, out=slopes)
-    np.divide(slopes, pen.dt, out=slopes)
-    value = 0.0
-    if pen.gamma1:
-        i = int(np.abs(slopes).argmax())            # first max wins on ties
-        x = float(slopes[i])
-        s = 1.0 if x > 0 else -1.0 if x < 0 else 0.0 if x == 0 else x    # np.sign, nan included
-        value = pen.gamma1 * abs(x)
-    if pen.gamma2:
-        np.subtract(slopes, pen.bench_slopes, out=p.gap)
-        np.sign(p.gap, out=q)
-        value += pen.gamma2 * (float(q.dot(p.gap)) / pen.n_grid)    # sign(e) . e = sum |e|
-        np.multiply(q, pen.trend_scale, out=q)
-    else:
-        q.fill(0.0)
-    if pen.gamma1:
-        q[i] += s * pen.smooth_scale[i]
-    np.subtract(p.q_pad[:-1], p.q_pad[1:], out=p.w_grid)
-    return value
+    theta, times, amounts, price, tenors = p.theta, p.times, p.amounts, p.price, p.tenors
+    h, n, g = len(theta) // 3, len(times), len(tenors)
+    inputs = np.concatenate([times, tenors])
+    inputs_1 = np.stack([inputs, np.ones(n + g)])
+    inputs_h = np.tile(inputs, (h, 1))
+    wb, v, vc = theta[:2 * h].reshape(2, h).T, theta[2 * h:3 * h], theta[2 * h:]
+    grad_wb = grad[:2 * h].reshape(2, h)
+    T = np.zeros((3 * h + 1, n + g))
+    T[3 * h, :n] = 1.0    # dy/dc
+    dw, sech2, th, vc_rows = T[:h], T[h:2 * h], T[2 * h:3 * h], T[2 * h:]
+    ones = np.ones((h, n + g))    # 1 - x costs less against a table of ones than against the float
+    y, weights = np.empty(n + g), np.empty(n + g)
+    y_price, y_grid, w_price, w_grid = y[:n], y[n:], weights[:n], weights[n:]
+    neg_times, disc, coef = -times, np.empty(n), np.empty(())    # numpy takes a 0-d array faster than a float
+    neg_flows = neg_times * amounts if n else None    # -t * amount
+    if g:
+        gamma1, gamma2, n_grid, diff = pen.gamma1, pen.gamma2, pen.n_grid, pen.diff
+        bench_slopes, trend_scale, smooth_scale = pen.bench_slopes, pen.trend_scale, pen.smooth_scale
+        slopes, gap = np.empty(g - 1), np.empty(g - 1)
+        q_pad = np.zeros(g + 1)    # [0 | q | 0]
+        q, q_lo, q_hi = q_pad[1:-1], q_pad[:-1], q_pad[1:]
+
+    def step() -> float:
+        wb.dot(inputs_1, out=th)                  # w u + b
+        np.tanh(th, out=th)
+        np.multiply(th, th, out=sech2)
+        np.subtract(ones, sech2, out=sech2)       # sech^2
+        np.multiply(sech2, inputs_h, out=dw)      # sech^2 u
+        vc.dot(vc_rows, out=y)                    # v tanh + c on the price inputs
+        loss = 0.0
+        if n:
+            np.multiply(neg_times, y_price, out=disc)
+            np.exp(disc, out=disc)                # discount factors
+            err = float(amounts.dot(disc)) - price
+            loss = err * err                      # inf on overflow, where err**2 would raise
+            np.multiply(neg_flows, disc, out=w_price)    # d price / d y(t_k)
+            coef[()] = 2.0 * scale * err
+            np.multiply(w_price, coef, out=w_price)
+        if g:
+            y_grid.dot(diff, out=slopes)
+            value = 0.0
+            if gamma1:
+                i = int(np.abs(slopes).argmax())            # first max wins on ties
+                x = float(slopes[i])
+                s = 1.0 if x > 0 else -1.0 if x < 0 else 0.0 if x == 0 else x    # np.sign, nan included
+                value = gamma1 * abs(x)
+            if gamma2:
+                np.subtract(slopes, bench_slopes, out=gap)
+                np.sign(gap, out=q)
+                value += gamma2 * (float(q.dot(gap)) / n_grid)    # sign(e) . e = sum |e|
+                np.multiply(q, trend_scale, out=q)
+            else:
+                q.fill(0.0)
+            if gamma1:
+                q[i] += s * smooth_scale[i]
+            np.subtract(q_lo, q_hi, out=w_grid)
+            loss += value
+        T.dot(weights, out=grad)
+        np.multiply(grad_wb, v, out=grad_wb)     # dy/dw and dy/db carry v
+        return loss
+
+    return step
 
 
 def _step(p: _Pass, pen: _Penalty | None, grad, scale: float) -> float:
-    """Loss at ``p``; ``scale`` times its gradient in theta = [w | b | v | c] into ``grad``.
-
-    The loss is the squared price error of the pass's bond (if it has one)
-    plus ``pen`` at its grid (if it has one), and is returned unscaled.
-    ``pen`` carries the same scale in its ``trend_scale`` and
-    ``smooth_scale``.
-    """
-    _forward(p)
-    loss = 0.0
-    if p.n:
-        disc, w_price = p.disc, p.w_price
-        np.multiply(p.neg_times, p.y_price, out=disc)
-        np.exp(disc, out=disc)                      # discount factors
-        err = float(p.amounts.dot(disc)) - p.price
-        loss = err * err                            # inf on overflow, where err**2 would raise
-        np.multiply(p.neg_flows, disc, out=w_price)  # d price / d y(t_k)
-        np.multiply(w_price, 2.0 * scale * err, out=w_price)
-    if len(p.w_grid):
-        loss += _penalty(p, pen)
-    p.T.dot(p.weights, out=grad)
-    return loss
+    """One step of pass ``p`` (``_stepper``): its loss, and ``scale`` times its gradient in ``grad``."""
+    return _stepper(p, pen, grad, scale)()
 
 
 def _benchmark_slopes(benchmark: BenchmarkCurve, tenors: np.ndarray) -> np.ndarray:
@@ -349,7 +353,8 @@ def grad_total_loss(params: NnParams, snapshot: MarketSnapshot, config: TrainCon
 # Training
 # ---------------------------------------------------------------------------
 
-def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnParams:
+def train(snapshot: MarketSnapshot, config: TrainConfig | None = None, *,
+          checkpoints: Sequence[int] | None = None) -> NnParams | list[NnParams | CurveKitError]:
     """Fit the network to one day of bonds by per-bond gradient steps.
 
     Bonds are visited in the snapshot's order (by maturity, then id); each visit
@@ -363,15 +368,23 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
     finite or leaves ``YTM_BRACKET``, the range every flat yield lies in.
 
     The step works on one packed vector theta = [w | b | v | c], updated in
-    place. Every step kind is one ``_step`` over a ``_Pass`` built once per
-    training: the bond's cashflow times and, in "per_bond" mode, the penalty
-    grid after them; or the grid alone for the per-epoch penalty. A step is
-    one matmul and one ``tanh`` for the hidden units, one matvec for the
-    curve at all its inputs, a weight vector of ``learning_rate`` times
-    d loss / d y at each of them, and one matmul of the derivative table
-    against it, which is the whole update, c included.
+    place. Every step kind is the function ``_stepper`` builds once per
+    training for each ``_Pass``: the bond's cashflow times and, in "per_bond"
+    mode, the penalty grid after them; or the grid alone for the per-epoch
+    penalty. Its gradient, scaled by ``learning_rate``, is the whole update,
+    c included, so the update is one in-place subtract.
+
+    ``epochs`` is read only as the loop's bound and in the messages, so the
+    first E epochs of a training are the training of E epochs. With
+    ``checkpoints``, epoch counts from 1 to ``config.epochs``, one training
+    serves every count: the result is a list with, per count in the order
+    given, what ``train`` with that epoch count returns (the weights) or
+    raises (its ``CurveKitError``), the final checks included.
     """
     config = config or TrainConfig()
+    counts = [config.epochs] if checkpoints is None else [check_count("checkpoint", e) for e in checkpoints]
+    if not all(e <= config.epochs for e in counts):
+        raise ValidationError(f"checkpoints must not exceed epochs ({config.epochs}), got {counts}")
     lr = config.learning_rate
     penalised = config.gamma1 > 0 or config.gamma2 > 0
     per_bond_reg = penalised and config.regularizer == "per_bond"
@@ -387,46 +400,63 @@ def train(snapshot: MarketSnapshot, config: TrainConfig | None = None) -> NnPara
         rng.normal(0.0, config.init_scale, h),          # v
         [np.mean([yield_to_maturity(bond) for bond in snapshot.bonds])],    # c
     ])
-    passes = _bond_passes(snapshot, theta, pen.tenors if per_bond_reg else None)
-    grid = _Pass(theta, np.empty(0), tenors=pen.tenors) if penalised and not per_bond_reg else None
-
     g = np.empty(3 * h + 1)
+    steps = [_stepper(p, pen, g, lr) for p in _bond_passes(snapshot, theta, pen.tenors if per_bond_reg else None)]
+    grid_step = _stepper(_Pass(theta, np.empty(0), tenors=pen.tenors), pen, g, lr) \
+        if penalised and not per_bond_reg else None
+    last = len(steps) - 1
+
+    trained = {}    # epoch count -> weights or the error its final checks raised
     # a diverging step overflows on its way to the non-finite loss that reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            for j, p in enumerate(passes):
-                step_loss = _step(p, pen, g, lr)
-                if not math.isfinite(step_loss):
-                    raise DivergenceError(
-                        f"training diverged: non-finite loss at epoch {epoch}, bond {p.id}",
-                        epoch=epoch, bond_index=j,
-                    )
-                np.subtract(theta, g, out=theta)
-            if grid is not None:
-                reg_loss = _step(grid, pen, g, lr)
-                if not math.isfinite(reg_loss):
-                    raise DivergenceError(
-                        f"training diverged: non-finite penalty after epoch {epoch}",
-                        epoch=epoch, bond_index=len(passes) - 1,
-                    )
-                np.subtract(theta, g, out=theta)
+        try:
+            for epoch in range(config.epochs):
+                for j, step in enumerate(steps):
+                    if not math.isfinite(step()):
+                        raise DivergenceError(
+                            f"training diverged: non-finite loss at epoch {epoch}, bond {snapshot.bonds[j].id}",
+                            epoch=epoch, bond_index=j,
+                        )
+                    np.subtract(theta, g, out=theta)
+                if grid_step is not None:
+                    if not math.isfinite(grid_step()):
+                        raise DivergenceError(
+                            f"training diverged: non-finite penalty after epoch {epoch}",
+                            epoch=epoch, bond_index=last,
+                        )
+                    np.subtract(theta, g, out=theta)
+                if epoch + 1 in counts:
+                    try:
+                        trained[epoch + 1] = _checked(NnParams(*_unpack(theta, h)), snapshot, config, epoch)
+                    except CurveKitError as exc:
+                        trained[epoch + 1] = exc
+        except DivergenceError as exc:    # every count not yet reached diverges with it
+            trained = {e: trained.get(e, exc) for e in counts}
+    if checkpoints is not None:
+        return [trained[e] for e in counts]
+    if isinstance(trained[config.epochs], CurveKitError):
+        raise trained[config.epochs]
+    return trained[config.epochs]
 
-        params = NnParams(*_unpack(theta, h))
-        final = total_loss(params, snapshot, config)
-        if not np.isfinite(final):
+
+def _checked(params: NnParams, snapshot: MarketSnapshot, config: TrainConfig, epoch: int) -> NnParams:
+    """``params``, trained through ``epoch``, if they pass ``train``'s final checks; else DivergenceError.
+
+    The checks: the total loss is finite, and the curve lies within
+    ``YTM_BRACKET`` at every bond maturity.
+    """
+    last = len(snapshot.bonds) - 1
+    if not np.isfinite(total_loss(params, snapshot, config)):
+        raise DivergenceError(f"training diverged: non-finite total loss after epoch {epoch}",
+                              epoch=epoch, bond_index=last)
+    lo, hi = YTM_BRACKET
+    at_maturities = nn_yield(params, np.array([b.maturity for b in snapshot.bonds])).tolist()
+    for j, (bond, y) in enumerate(zip(snapshot.bonds, at_maturities)):
+        if not lo <= y <= hi:
             raise DivergenceError(
-                f"training diverged: non-finite total loss after epoch {config.epochs - 1}",
-                epoch=config.epochs - 1, bond_index=len(passes) - 1,
+                f"training diverged: yield {y:.6g} at the maturity of bond {bond.id} lies outside [{lo}, {hi}]",
+                epoch=epoch, bond_index=j,
             )
-        lo, hi = YTM_BRACKET
-        at_maturities = nn_yield(params, np.array(maturities)).tolist()
-        for j, (bond, y) in enumerate(zip(snapshot.bonds, at_maturities)):
-            if not lo <= y <= hi:
-                raise DivergenceError(
-                    f"training diverged: yield {y:.6g} at the maturity of bond {bond.id} "
-                    f"lies outside [{lo}, {hi}]",
-                    epoch=config.epochs - 1, bond_index=j,
-                )
     return params
 
 

@@ -30,7 +30,7 @@ from operator import add
 import numpy as np
 
 from .errors import FitFailureError, ValidationError
-from .market import MarketSnapshot
+from .market import MarketSnapshot, check_count
 from .pricing import YieldCurve, cashflow_matrix, duration_price_weights, yield_to_maturity
 
 LAMBDA_BOX = (0.05, 30.0)
@@ -88,10 +88,8 @@ class NssFitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValidationError("starts must be >= 1")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
+        object.__setattr__(self, "starts", check_count("starts", self.starts))
+        object.__setattr__(self, "max_iter", check_count("max_iter", self.max_iter))
 
 
 def _decay_ratio(x: np.ndarray) -> np.ndarray:

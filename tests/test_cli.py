@@ -79,6 +79,9 @@ class TestGenerate:
         (("--base-rate", "-100"), "overflow"),
         (("--maturity-range", "1e-300,1e-299"), "must exceed 1e-9"),
         (("--coupon-range", "0,1e308"), "overflow"),
+        (("--spread", "1e308"), "prices underflow to 0.0: check spread_over_benchmark and base_rate"),
+        (("--base-rate", "1e308"), "prices underflow to 0.0: check spread_over_benchmark and base_rate"),
+        (("--noise", "5"), "check price_noise_sd"),
         (("--spread", "nan"), "spread_over_benchmark must be finite"),
         (("--base-rate", "inf"), "base_rate must be finite"),
         (("--format", "csv", "--date", "a\nb,c"), "date"),
@@ -91,6 +94,12 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert list(workdir.iterdir()) == []
+
+    def test_a_day_whose_later_cashflows_underflow_is_written(self, workdir):
+        # at a spread of 100 every discount factor past about 7.4 years underflows to 0, but every bond
+        # pays a coupon within a year, so every price stays above 0
+        path = generate_day(workdir, extra=("--spread", "100"))
+        assert min(bond["market_price"] for bond in json.loads(path.read_text())["bonds"]) > 0
 
     def test_csv_format(self, workdir):
         generate_day(workdir, name="day.csv", extra=("--format", "csv"))
@@ -359,6 +368,40 @@ class TestExperiments:
         assert "RMSE_ytm grid" in out
         report = json.loads((workdir / "rep.hyperscan.nn.json").read_text())
         assert len(report["details"]) == 4
+
+    def test_hyperscan_rows_equal_their_own_fits(self, workdir):
+        # the cells of one (gamma1, gamma2, lr) share one training; on this day lr 1e-5 passes 3 epochs,
+        # fails its final check after 6 and diverges in the seventh epoch of 10
+        path = generate_day(workdir, bonds=8, extra=("--noise", "0.002"))
+        argv = ["experiment", "hyperscan", str(path), "--lr", "1e-5,1e-8", "--epochs", "10,6,3",
+                "--gamma1", "0,1e3", "--gamma2", "0", "-o", "rep"]
+        assert run(argv) == 4
+        args = cli.build_parser().parse_args(argv)
+        snapshot = curvekit.load_snapshot(path)
+        rows = json.loads((workdir / "rep.hyperscan.nn.json").read_text())["details"]
+        assert len(rows) == 12
+        for row in rows:
+            config = cli._train_config(args, row["lr"], row["epochs"], row["gamma1"], row["gamma2"])
+            score, exc = curvekit.evaluation.refit(curvekit.evaluation.Estimator("nn", cli._nn_fit(config)), snapshot,
+                                                   lambda curve: curvekit.rmse_ytm(curve, snapshot))
+            assert (row["rmse_ytm"], row["error"]) == (score, None if exc is None else str(exc)), row
+        errors = [row["error"] for row in rows if (row["lr"], row["gamma1"]) == (1e-5, 0.0)]
+        assert errors == ["training diverged: non-finite loss at epoch 6, bond B001",
+                          "training diverged: non-finite total loss after epoch 5", None]
+
+    def test_hyperscan_trains_each_learning_rate_once_to_its_largest_epoch_count(self, workdir, monkeypatch):
+        # the default scan of 3 learning rates x (200, 500, 1000) epochs: 3 x 1,000 epochs, not 5,100
+        monkeypatch.setattr(curvekit.evaluation, "_usable_cpus", lambda: 1)    # every training runs here
+        epochs, train = [], cli.train
+
+        def counted(snapshot, config, **kwargs):
+            epochs.append(config.epochs)    # train reads epochs only as its loop bound
+            return train(snapshot, config, **kwargs)
+
+        monkeypatch.setattr(cli, "train", counted)
+        path = generate_day(workdir, bonds=8)
+        assert run(["experiment", "hyperscan", str(path), "-o", "rep"]) == 0
+        assert epochs == [1000] * 3
 
     @pytest.mark.parametrize("argv", [["perturb"], ["drop", "--counts", "1", "--mc", "1"]])
     def test_failed_base_fit_exits_four(self, workdir, capsys, argv):

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from curvekit import cli, evaluation
+from curvekit import TrainConfig, cli, evaluation, load_snapshot, train
 from curvekit.cli import main
-from curvekit.errors import FitFailureError
+from curvekit.errors import DivergenceError, FitFailureError
 
 WORKERS = (1, 2, 3)
 
@@ -49,6 +49,9 @@ RUNS = {
     "loo-nn-diverges": ("loo", "day.json", "--mc", "3", "--estimators", "nn", *DIVERGING_NN),
     "hyperscan-diverges": ("hyperscan", "day.json", "--lr", "1e-4,1e-8", "--epochs", "5",
                            "--gamma1", "0", "--gamma2", "0"),
+    # one training serves both epoch counts of a learning rate; at 1e-5 it diverges in epoch 6
+    "hyperscan-diverges-between-checkpoints": ("hyperscan", "day.json", "--lr", "1e-5,1e-8", "--epochs", "3,10",
+                                               "--gamma1", "0", "--gamma2", "0"),
 }
 
 
@@ -147,6 +150,18 @@ def test_diverging_nn_replicates_come_back_from_the_workers(days, tmp_path, monk
         errors = [rep["error"] for rep in json.loads(record["reports"]["rep.loo.nn.json"])["details"]]
         assert len(errors) == 3 and all(e.startswith("training diverged: ") for e in errors)
     assert len(log.read_text()) == 3 * len(WORKERS)
+
+
+def test_each_checkpoint_of_a_diverging_training_keeps_its_own_outcome(days, tmp_path, monkeypatch):
+    with pytest.raises(DivergenceError) as own:
+        train(load_snapshot(days / "day.json"), TrainConfig(learning_rate=1e-5, epochs=10, gamma1=0.0, gamma2=0.0))
+    for record in runs_at_every_worker_count("hyperscan-diverges-between-checkpoints", days, tmp_path, monkeypatch):
+        assert record["exit"] == 4
+        rows = {(row["lr"], row["epochs"]): row for row in
+                json.loads(record["reports"]["rep.hyperscan.nn.json"])["details"]}
+        assert rows[1e-5, 3]["error"] is None and rows[1e-5, 3]["rmse_ytm"] > 0
+        assert (rows[1e-5, 10]["error"], rows[1e-5, 10]["rmse_ytm"]) == (str(own.value), None)
+        assert [rows[1e-8, e]["error"] for e in (3, 10)] == [None, None]
 
 
 def test_a_child_that_dies_is_refit_by_the_parent(days, tmp_path, monkeypatch):

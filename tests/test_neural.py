@@ -315,6 +315,14 @@ class TestTraining:
         with pytest.raises(ValidationError):
             TrainConfig(regularizer="sometimes")
 
+    @pytest.mark.parametrize("field", ["epochs", "hidden_count"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_config_counts_are_integers(self, field, value):
+        # a float or a bool count used to pass here and end in a TypeError inside train
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer >= 1, got "):
+            TrainConfig(**{field: value})
+        assert getattr(TrainConfig(**{field: np.int64(2)}), field).__class__ is int
+
     @pytest.mark.parametrize("grid,message", [
         ((), "at least 2 tenors"),
         ((5.0,), "at least 2 tenors"),

@@ -126,6 +126,14 @@ class TestFit:
         err = np.abs(nss_yield(fitted, grid) - nss_yield(TRUE, grid))
         assert err.max() <= 0.5e-4, f"max grid error {err.max() * 1e4:.4f} bp"
 
+    @pytest.mark.parametrize("field", ["starts", "max_iter"])
+    @pytest.mark.parametrize("value", [50.5, 2.0, True, "3"])
+    def test_config_counts_are_integers(self, field, value):
+        # a float count used to end in a TypeError inside fit_nss, or in an iteration cap of 50.5
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer >= 1, got "):
+            NssFitConfig(**{field: value})
+        assert getattr(NssFitConfig(**{field: np.int64(2)}), field).__class__ is int
+
     def test_requires_six_bonds(self):
         snap = generate_scenario(ScenarioSpec(regime="flat", n_bonds=5, seed=1))
         with pytest.raises(ValidationError, match="6 bonds"):
