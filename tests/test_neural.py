@@ -323,6 +323,12 @@ class TestTraining:
             TrainConfig(**{field: value})
         assert getattr(TrainConfig(**{field: np.int64(2)}), field).__class__ is int
 
+    @pytest.mark.parametrize("checkpoints", [[0], [4], [2, 4], [2.0], [True]])
+    def test_checkpoints_are_epoch_counts_the_training_reaches(self, checkpoints):
+        snap = generate_scenario(ScenarioSpec(regime="falling", n_bonds=6, seed=3))
+        with pytest.raises(ValidationError, match="^checkpoint"):
+            train(snap, TrainConfig(epochs=3), checkpoints=checkpoints)
+
     @pytest.mark.parametrize("grid,message", [
         ((), "at least 2 tenors"),
         ((5.0,), "at least 2 tenors"),
